@@ -74,7 +74,7 @@ class Asr : public L2Org
     onL1Eviction(CoreId c, const BlockMeta &blk, Cycle t) override
     {
         const BlockInfo *e = proto().dir().find(blk.addr);
-        const bool shared = e != nullptr && e->sharedStatus;
+        const bool shared = e != nullptr && e->sharedStatus();
         const bool must_keep = blk.dirty || blk.hasOwnerToken;
         const BankId bank = map_.privateBank(c, blk.addr);
 

@@ -114,7 +114,7 @@ class CooperativeCaching : public L2Org
     {
         // Victim class marks "already spilled once" (1-chance forwarding).
         const BlockInfo *e = proto().dir().find(evicted.addr);
-        const bool singlet = e == nullptr || e->l2Copies.none();
+        const bool singlet = e == nullptr || !e->anyL2Copy();
         if (evicted.cls == BlockClass::Victim || !singlet ||
             !rng_.chance(coopProb_)) {
             dropDisplaced(evicted, bank, t);

@@ -155,7 +155,7 @@ class Dnuca : public L2Org
         const BlockInfo *e = proto().dir().find(tx.addr);
         if (e != nullptr && e->hasL2Copy(near))
             return;
-        const bool shared = e != nullptr && e->sharedStatus;
+        const bool shared = e != nullptr && e->sharedStatus();
         proto().mesh().deliveryTime(proto().topo().bankNode(bank),
                                     proto().topo().bankNode(near),
                                     cfg_.dataMsgBytes, t);

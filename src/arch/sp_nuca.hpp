@@ -90,7 +90,7 @@ class SpNuca : public L2Org
     onL1Eviction(CoreId c, const BlockMeta &blk, Cycle t) override
     {
         const BlockInfo *e = proto().dir().find(blk.addr);
-        const bool shared = e != nullptr && e->sharedStatus;
+        const bool shared = e != nullptr && e->sharedStatus();
         BlockMeta store = blk;
         BankId bank;
         std::uint32_t set;

@@ -10,12 +10,24 @@
  * every other holder one token, and memory everything when the block is
  * off chip — so conservation holds by construction and the testable
  * invariants are on the holder sets themselves.
+ *
+ * Storage (DESIGN.md 5.15): one open-addressing table whose slot is
+ * sized to the modelled machine when the directory is built — a key
+ * word, an 8-byte BlockInfo header, ⌈l1Count/64⌉ L1-holder words and
+ * ⌈l2Banks/64⌉ L2-copy words. That is 32 B at the paper's 8 cores /
+ * 32 banks and 64 B at the 64-core / 256-bank caps, through one code
+ * path. Only this file knows the word layout; callers see BlockInfo
+ * accessors and full-width InlineBitset snapshots.
  */
 
 #ifndef ESPNUCA_COHERENCE_DIRECTORY_HPP_
 #define ESPNUCA_COHERENCE_DIRECTORY_HPP_
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <new>
+#include <vector>
 
 #include "coherence/l1_cache.hpp"
 #include "common/config.hpp"
@@ -30,47 +42,180 @@ namespace espnuca {
 /** Who holds a block's owner token. */
 enum class OwnerKind : std::uint8_t { Memory, L1, L2Bank };
 
-/** Per-block L1 holder set (one bit per L1Id = core*2 + i/d). */
+/** Full-width snapshot of a block's L1 holder set (bit per L1Id). */
 using L1HolderMask = InlineBitset<kMaxCores * 2>;
-/** Per-block L2 copy set (one bit per BankId). */
+/** Full-width snapshot of a block's L2 copy set (bit per BankId). */
 using L2CopyMask = InlineBitset<kMaxL2Banks>;
 
-/** Directory entry for one block currently on chip. The hot scalar
- *  fields lead so owner/status probes touch only the entry's first
- *  bytes; the wide holder/copy masks (48 B at the 64-core/256-bank
- *  caps) sit behind them. */
-struct BlockInfo
+/**
+ * Directory entry for one block: the 8-byte header of a directory
+ * slot. The holder bits live in the same slot right behind it — the L1
+ * holder words, then the L2 copy words, as many as the machine needs —
+ * so an entry only exists inside its Directory and is handed out by
+ * pointer. Only the Directory can create, copy or mutate one.
+ */
+class BlockInfo
 {
-    OwnerKind ownerKind = OwnerKind::Memory;
+  public:
+    OwnerKind ownerKind() const { return ownerKind_; }
     /** SP/ESP-NUCA sharing status: false = private, true = shared. */
-    bool sharedStatus = false;
-    /** The single accessor while the block is private. */
-    CoreId firstAccessor = kInvalidCore;
-    std::uint32_t ownerIndex = 0; //!< L1Id or BankId when not Memory
-    L1HolderMask l1Holders;       //!< bit per L1Id (core*2 + i/d)
-    L2CopyMask l2Copies;          //!< bit per BankId
+    bool sharedStatus() const { return sharedStatus_; }
+    /** L1Id or BankId of the owner when ownerKind() is not Memory. */
+    std::uint32_t ownerIndex() const { return ownerIndex_; }
 
-    bool
-    onChip() const
+    /** The single accessor while the block is private. */
+    CoreId
+    firstAccessor() const
     {
-        return l1Holders.any() || l2Copies.any();
+        return firstAccessor_ == kNoAccessor ? kInvalidCore
+                                             : firstAccessor_;
     }
 
-    bool hasL1Holder(L1Id id) const { return l1Holders.test(id); }
-    bool hasL2Copy(BankId b) const { return l2Copies.test(b); }
+    /** True when any L1 or L2 bank holds the block (the L1 and L2
+     *  words are contiguous, so this is one scan). */
+    bool onChip() const { return anyWord(l1Bits(), l1Words_ + l2Words_); }
+    bool anyL1Holder() const { return anyWord(l1Bits(), l1Words_); }
+    bool anyL2Copy() const { return anyWord(l2Bits(), l2Words_); }
+
+    bool
+    hasL1Holder(L1Id id) const
+    {
+        return testBit(l1Bits(), l1Words_, id);
+    }
+    bool
+    hasL2Copy(BankId b) const
+    {
+        return testBit(l2Bits(), l2Words_, b);
+    }
 
     std::uint32_t
     numL1Holders() const
     {
-        return l1Holders.count();
+        return countBits(l1Bits(), l1Words_);
     }
-
     std::uint32_t
     numL2Copies() const
     {
-        return l2Copies.count();
+        return countBits(l2Bits(), l2Words_);
     }
+
+    /** Full-width copy of the L1 holder set (zero beyond the machine):
+     *  the sweeps walk it while their drops mutate the live entry. */
+    L1HolderMask
+    l1Holders() const
+    {
+        return widen<L1HolderMask>(l1Bits(), l1Words_);
+    }
+    /** Full-width copy of the L2 copy set. */
+    L2CopyMask
+    l2Copies() const
+    {
+        return widen<L2CopyMask>(l2Bits(), l2Words_);
+    }
+
+  private:
+    friend class Directory;
+
+    /** firstAccessor_ value meaning "none yet" (kInvalidCore). */
+    static constexpr std::uint16_t kNoAccessor = 0xFFFF;
+
+    BlockInfo(std::uint8_t l1_words, std::uint8_t l2_words)
+        : l1Words_(l1_words), l2Words_(l2_words)
+    {
+    }
+    BlockInfo(const BlockInfo &) = default;
+    BlockInfo &operator=(const BlockInfo &) = default;
+
+    const std::uint64_t *
+    l1Bits() const
+    {
+        return reinterpret_cast<const std::uint64_t *>(this + 1);
+    }
+    std::uint64_t *
+    l1Bits()
+    {
+        return reinterpret_cast<std::uint64_t *>(this + 1);
+    }
+    const std::uint64_t *l2Bits() const { return l1Bits() + l1Words_; }
+    std::uint64_t *l2Bits() { return l1Bits() + l1Words_; }
+
+    void setL1(L1Id id) { setBit(l1Bits(), l1Words_, id, true); }
+    void clearL1(L1Id id) { setBit(l1Bits(), l1Words_, id, false); }
+    void setL2(BankId b) { setBit(l2Bits(), l2Words_, b, true); }
+    void clearL2(BankId b) { setBit(l2Bits(), l2Words_, b, false); }
+
+    void
+    setOwner(OwnerKind kind, std::uint32_t index)
+    {
+        ESP_ASSERT(index <= 0xFFFF, "owner index beyond the entry field");
+        ownerKind_ = kind;
+        ownerIndex_ = static_cast<std::uint16_t>(index);
+    }
+
+    void
+    setFirstAccessor(CoreId c)
+    {
+        ESP_ASSERT(c == kInvalidCore || c < kNoAccessor,
+                   "core id beyond the entry field");
+        firstAccessor_ = c == kInvalidCore ? kNoAccessor
+                                           : static_cast<std::uint16_t>(c);
+    }
+
+    static bool
+    anyWord(const std::uint64_t *w, std::uint32_t n)
+    {
+        for (std::uint32_t k = 0; k < n; ++k)
+            if (w[k] != 0)
+                return true;
+        return false;
+    }
+
+    static bool
+    testBit(const std::uint64_t *w, std::uint32_t n, std::uint32_t i)
+    {
+        ESP_ASSERT(i < n * 64, "bit index beyond the directory slot");
+        return (w[i / 64] >> (i % 64)) & 1u;
+    }
+
+    static void
+    setBit(std::uint64_t *w, std::uint32_t n, std::uint32_t i, bool on)
+    {
+        ESP_ASSERT(i < n * 64, "bit index beyond the directory slot");
+        const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+        w[i / 64] = on ? (w[i / 64] | bit) : (w[i / 64] & ~bit);
+    }
+
+    static std::uint32_t
+    countBits(const std::uint64_t *w, std::uint32_t n)
+    {
+        std::uint32_t c = 0;
+        for (std::uint32_t k = 0; k < n; ++k)
+            c += static_cast<std::uint32_t>(__builtin_popcountll(w[k]));
+        return c;
+    }
+
+    template <typename Mask>
+    static Mask
+    widen(const std::uint64_t *w, std::uint32_t n)
+    {
+        Mask m;
+        for (std::uint32_t k = 0; k < n; ++k)
+            m.setWord(k, w[k]);
+        return m;
+    }
+
+    OwnerKind ownerKind_ = OwnerKind::Memory;
+    bool sharedStatus_ = false;
+    std::uint8_t l1Words_; //!< L1 holder words behind the header
+    std::uint8_t l2Words_; //!< L2 copy words behind the L1 words
+    std::uint16_t ownerIndex_ = 0;
+    std::uint16_t firstAccessor_ = kNoAccessor;
 };
+
+static_assert(sizeof(BlockInfo) == sizeof(std::uint64_t),
+              "the entry header is one slot word");
+static_assert(kMaxCores * 2 <= 0xFFFF && kMaxL2Banks <= 0xFFFF,
+              "owner and core ids must fit the 16-bit header fields");
 
 /**
  * The directory proper. All mutations funnel through here so the holder
@@ -79,25 +224,26 @@ struct BlockInfo
 class Directory
 {
   public:
-    explicit Directory(const SystemConfig &cfg) : cfg_(cfg) {}
+    explicit Directory(const SystemConfig &cfg)
+        : cfg_(cfg), l1Words_(wordsFor(cfg.l1Count())),
+          l2Words_(wordsFor(cfg.l2Banks)), stride_(2 + l1Words_ + l2Words_)
+    {
+        resetTable(kMinSlots);
+    }
+
+    /** Bytes per table slot: key word, header, holder and copy words. */
+    std::size_t slotBytes() const { return stride_ * sizeof(std::uint64_t); }
 
     /** Hint: pull a's home slot into cache ahead of a find/entry known
      * to follow shortly (e.g. the noteAccess of a just-issued access). */
-    void prefetch(Addr a) const { map_.prefetch(a); }
+    void prefetch(Addr a) const { __builtin_prefetch(slotAt(homeOf(a))); }
 
     /** Look up without creating; nullptr when the block is off chip. */
     const BlockInfo *
     find(Addr a) const
     {
-        auto it = map_.find(a);
-        return it == map_.end() ? nullptr : &it->second;
-    }
-
-    /** Look up or create (fresh blocks are private, memory-owned). */
-    BlockInfo &
-    entry(Addr a)
-    {
-        return map_[a];
+        const std::uint64_t *s = slotAt(probe(a));
+        return s[0] == kInvalidAddr ? nullptr : headerOf(s);
     }
 
     /** True when any on-chip structure holds the block. */
@@ -120,16 +266,16 @@ class Directory
     noteAccess(Addr a, CoreId c)
     {
         BlockInfo &e = entry(a);
-        if (!e.onChip() && e.firstAccessor != kInvalidCore) {
-            e.firstAccessor = kInvalidCore;
-            e.sharedStatus = false;
+        if (!e.onChip() && e.firstAccessor() != kInvalidCore) {
+            e.setFirstAccessor(kInvalidCore);
+            e.sharedStatus_ = false;
         }
-        if (e.firstAccessor == kInvalidCore) {
-            e.firstAccessor = c;
+        if (e.firstAccessor() == kInvalidCore) {
+            e.setFirstAccessor(c);
             return false;
         }
-        if (!e.sharedStatus && e.firstAccessor != c) {
-            e.sharedStatus = true;
+        if (!e.sharedStatus_ && e.firstAccessor() != c) {
+            e.sharedStatus_ = true;
             return true;
         }
         return false;
@@ -141,26 +287,24 @@ class Directory
     addL1(Addr a, L1Id id, bool owner)
     {
         BlockInfo &e = entry(a);
-        e.l1Holders.set(id);
-        if (owner) {
-            e.ownerKind = OwnerKind::L1;
-            e.ownerIndex = id;
-        }
+        e.setL1(id);
+        if (owner)
+            e.setOwner(OwnerKind::L1, id);
     }
 
     /** Remove an L1 holder; owner token falls back to memory for now
-     *  (callers re-assign it when the data lands in an L2 bank). */
+     *  (callers re-assign it when the data lands in an L2 bank). The
+     *  entry stays even when this was the last copy: the private/shared
+     *  status resets lazily at the next demand access, so transient
+     *  zero-copy windows during on-chip moves keep it. */
     void
     removeL1(Addr a, L1Id id)
     {
         BlockInfo &e = entry(a);
         ESP_ASSERT(e.hasL1Holder(id), "removing a non-holder L1");
-        e.l1Holders.clear(id);
-        if (e.ownerKind == OwnerKind::L1 && e.ownerIndex == id) {
-            e.ownerKind = OwnerKind::Memory;
-            e.ownerIndex = 0;
-        }
-        maybeRelease(a);
+        e.clearL1(id);
+        if (e.ownerKind_ == OwnerKind::L1 && e.ownerIndex_ == id)
+            e.setOwner(OwnerKind::Memory, 0);
     }
 
     // -- L2 copy management --------------------------------------------
@@ -170,24 +314,21 @@ class Directory
     {
         BlockInfo &e = entry(a);
         ESP_ASSERT(!e.hasL2Copy(b), "bank already holds a copy");
-        e.l2Copies.set(b);
-        if (owner) {
-            e.ownerKind = OwnerKind::L2Bank;
-            e.ownerIndex = b;
-        }
+        e.setL2(b);
+        if (owner)
+            e.setOwner(OwnerKind::L2Bank, b);
     }
 
+    /** Remove an L2 copy (same owner fallback and entry retention as
+     *  removeL1). */
     void
     removeL2(Addr a, BankId b)
     {
         BlockInfo &e = entry(a);
         ESP_ASSERT(e.hasL2Copy(b), "removing a non-copy bank");
-        e.l2Copies.clear(b);
-        if (e.ownerKind == OwnerKind::L2Bank && e.ownerIndex == b) {
-            e.ownerKind = OwnerKind::Memory;
-            e.ownerIndex = 0;
-        }
-        maybeRelease(a);
+        e.clearL2(b);
+        if (e.ownerKind_ == OwnerKind::L2Bank && e.ownerIndex_ == b)
+            e.setOwner(OwnerKind::Memory, 0);
     }
 
     /** Move the L2 owner-token copy from one bank to another. */
@@ -197,10 +338,10 @@ class Directory
         BlockInfo &e = entry(a);
         ESP_ASSERT(e.hasL2Copy(from), "moving from a non-copy bank");
         ESP_ASSERT(!e.hasL2Copy(to), "destination already holds a copy");
-        e.l2Copies.clear(from);
-        e.l2Copies.set(to);
-        if (e.ownerKind == OwnerKind::L2Bank && e.ownerIndex == from)
-            e.ownerIndex = to;
+        e.clearL2(from);
+        e.setL2(to);
+        if (e.ownerKind_ == OwnerKind::L2Bank && e.ownerIndex_ == from)
+            e.setOwner(OwnerKind::L2Bank, to);
     }
 
     /** Explicitly hand the owner token to a holder. */
@@ -212,8 +353,7 @@ class Directory
             ESP_ASSERT(e.hasL1Holder(index), "owner must hold the block");
         if (kind == OwnerKind::L2Bank)
             ESP_ASSERT(e.hasL2Copy(index), "owner bank must hold a copy");
-        e.ownerKind = kind;
-        e.ownerIndex = index;
+        e.setOwner(kind, index);
     }
 
     /**
@@ -232,14 +372,12 @@ class Directory
             (kind == OwnerKind::L1 && e->hasL1Holder(index)) ||
             (kind == OwnerKind::L2Bank && e->hasL2Copy(index));
         const bool is_owner =
-            e->ownerKind == kind &&
-            (kind == OwnerKind::Memory || e->ownerIndex == index);
+            e->ownerKind() == kind &&
+            (kind == OwnerKind::Memory || e->ownerIndex() == index);
         if (is_owner) {
             const std::uint32_t others = holders - (is_holder ? 1 : 0);
             return total - others;
         }
-        if (kind == OwnerKind::Memory)
-            return e->ownerKind == OwnerKind::Memory ? 0 : 0;
         return is_holder ? 1 : 0;
     }
 
@@ -248,8 +386,7 @@ class Directory
     population() const
     {
         std::size_t n = 0;
-        for (const auto &[a, e] : map_)
-            n += e.onChip();
+        forEach([&](Addr, const BlockInfo &e) { n += e.onChip(); });
         return n;
     }
 
@@ -260,19 +397,35 @@ class Directory
         const BlockInfo *e = find(a);
         if (!e)
             return true;
-        if (e->ownerKind == OwnerKind::L1 && !e->hasL1Holder(e->ownerIndex))
-            return false;
-        if (e->ownerKind == OwnerKind::L2Bank &&
-            !e->hasL2Copy(e->ownerIndex)) {
+        if (e->ownerKind() == OwnerKind::L1 &&
+            !e->hasL1Holder(e->ownerIndex())) {
             return false;
         }
-        if (e->firstAccessor == kInvalidCore && e->sharedStatus)
+        if (e->ownerKind() == OwnerKind::L2Bank &&
+            !e->hasL2Copy(e->ownerIndex())) {
+            return false;
+        }
+        if (e->firstAccessor() == kInvalidCore && e->sharedStatus())
             return false;
         return true;
     }
 
-    /** Iterate all tracked blocks (tests). */
-    const FlatMap<Addr, BlockInfo> &raw() const { return map_; }
+    /** Tracked blocks, on chip or not (entries are never erased). */
+    std::size_t size() const { return size_; }
+
+    /** Visit every tracked block in table order as
+     *  fn(Addr, const BlockInfo &); the order is deterministic for a
+     *  given access history. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        for (std::size_t i = 0; i <= mask_; ++i) {
+            const std::uint64_t *s = slotAt(i);
+            if (s[0] != kInvalidAddr)
+                fn(static_cast<Addr>(s[0]), *headerOf(s));
+        }
+    }
 
     // -- Snapshot/restore ----------------------------------------------
 
@@ -280,68 +433,175 @@ class Directory
      * Every entry is serialized, including off-chip ones: their
      * sharedStatus/firstAccessor survive until the next demand access
      * resets them lazily (noteAccess), so dropping them would change
-     * the privatization sequence of the restored run. Bucket layout is
-     * not preserved (lookups are exact-key; nothing iterates the map
-     * during simulation).
+     * the privatization sequence of the restored run. Holder masks are
+     * written zero-extended to the 64-core/256-bank caps, so the record
+     * does not depend on the slot width. Bucket layout is not preserved
+     * (lookups are exact-key; nothing iterates the table during
+     * simulation).
      */
     void
     save(SnapshotWriter &w) const
     {
-        w.u64(map_.size());
-        for (const auto &[a, e] : map_) {
+        w.u64(size_);
+        forEach([&](Addr a, const BlockInfo &e) {
             w.u64(a);
+            const L1HolderMask l1 = e.l1Holders();
             for (std::uint32_t k = 0; k < L1HolderMask::kWords; ++k)
-                w.u64(e.l1Holders.word(k));
+                w.u64(l1.word(k));
+            const L2CopyMask l2 = e.l2Copies();
             for (std::uint32_t k = 0; k < L2CopyMask::kWords; ++k)
-                w.u64(e.l2Copies.word(k));
-            w.u8(static_cast<std::uint8_t>(e.ownerKind));
-            w.u32(e.ownerIndex);
-            w.b(e.sharedStatus);
-            w.u32(e.firstAccessor);
-        }
+                w.u64(l2.word(k));
+            w.u8(static_cast<std::uint8_t>(e.ownerKind_));
+            w.u32(e.ownerIndex_);
+            w.b(e.sharedStatus_);
+            w.u32(e.firstAccessor());
+        });
     }
 
     void
     load(SnapshotReader &r)
     {
-        map_.clear();
+        resetTable(kMinSlots);
         const std::uint64_t n = r.u64();
         for (std::uint64_t i = 0; i < n; ++i) {
-            const Addr a = r.u64();
-            BlockInfo &e = map_[a];
-            for (std::uint32_t k = 0; k < L1HolderMask::kWords; ++k)
-                e.l1Holders.setWord(k, r.u64());
-            for (std::uint32_t k = 0; k < L2CopyMask::kWords; ++k)
-                e.l2Copies.setWord(k, r.u64());
-            e.ownerKind = static_cast<OwnerKind>(r.u8());
-            e.ownerIndex = r.u32();
-            e.sharedStatus = r.b();
-            e.firstAccessor = static_cast<CoreId>(r.u32());
+            BlockInfo &e = entry(r.u64());
+            loadWords(r, e.l1Bits(), e.l1Words_, L1HolderMask::kWords);
+            loadWords(r, e.l2Bits(), e.l2Words_, L2CopyMask::kWords);
+            const auto kind = static_cast<OwnerKind>(r.u8());
+            const std::uint32_t index = r.u32();
+            if (index > 0xFFFF)
+                throw SnapshotError("directory owner index out of range");
+            e.setOwner(kind, index);
+            e.sharedStatus_ = r.b();
+            const auto first = static_cast<CoreId>(r.u32());
+            if (first != kInvalidCore && first >= BlockInfo::kNoAccessor)
+                throw SnapshotError("directory first accessor out of range");
+            e.setFirstAccessor(first);
         }
     }
 
   private:
-    /**
-     * When the last on-chip copy disappears the block has "left the
-     * chip". The entry is retained (its status reset happens lazily at
-     * the next demand access) so that transient zero-copy windows
-     * during on-chip moves don't destroy the private/shared status;
-     * only the owner token is settled back to memory, which the
-     * remove paths already did.
-     */
-    void
-    maybeRelease(Addr a)
+    /** Initial (and post-load) table capacity in slots. */
+    static constexpr std::size_t kMinSlots = 16;
+
+    static std::uint8_t
+    wordsFor(std::uint32_t bits)
     {
-        (void)a;
+        return static_cast<std::uint8_t>((bits + 63) / 64);
+    }
+
+    std::size_t homeOf(Addr a) const { return mixHash64(a) & mask_; }
+
+    const std::uint64_t *
+    slotAt(std::size_t i) const
+    {
+        return &table_[i * stride_];
+    }
+    std::uint64_t *slotAt(std::size_t i) { return &table_[i * stride_]; }
+
+    static const BlockInfo *
+    headerOf(const std::uint64_t *s)
+    {
+        return std::launder(reinterpret_cast<const BlockInfo *>(s + 1));
+    }
+    static BlockInfo *
+    headerOf(std::uint64_t *s)
+    {
+        return std::launder(reinterpret_cast<BlockInfo *>(s + 1));
+    }
+
+    /** Slot holding a, or the empty slot ending its probe chain (the
+     *  table always has one: the load stays under 5/8). */
+    std::size_t
+    probe(Addr a) const
+    {
+        std::size_t i = homeOf(a);
+        while (true) {
+            const std::uint64_t k = slotAt(i)[0];
+            if (k == a || k == kInvalidAddr)
+                return i;
+            i = (i + 1) & mask_;
+        }
+    }
+
+    /** Look up or create (fresh blocks are private, memory-owned). */
+    BlockInfo &
+    entry(Addr a)
+    {
+        ESP_ASSERT(a != kInvalidAddr, "the empty-slot key is not a block");
+        std::uint64_t *s = slotAt(probe(a));
+        if (s[0] == a)
+            return *headerOf(s);
+        // Claim the empty slot. Its other words are already zero: the
+        // table is zero-filled when built and nothing is ever erased.
+        s[0] = a;
+        new (s + 1) BlockInfo(l1Words_, l2Words_);
+        ++size_;
+        // Grow past load 5/8: plain linear probing (no tombstones, no
+        // robin-hood reordering) keeps clusters short only while the
+        // table stays comfortably under ~2/3 full.
+        if (size_ * 8 > (mask_ + 1) * 5) {
+            rehash((mask_ + 1) * 2);
+            s = slotAt(probe(a));
+        }
+        return *headerOf(s);
+    }
+
+    /** Empty table of `slots` slots: every key kInvalidAddr, every
+     *  other word zero. */
+    void
+    resetTable(std::size_t slots)
+    {
+        table_.assign(slots * stride_, 0);
+        for (std::size_t i = 0; i < slots; ++i)
+            slotAt(i)[0] = kInvalidAddr;
+        mask_ = slots - 1;
+        size_ = 0;
+    }
+
+    /** Re-place every entry, in old table order, into `slots` slots. */
+    void
+    rehash(std::size_t slots)
+    {
+        const std::vector<std::uint64_t> old = std::move(table_);
+        const std::size_t live = size_;
+        resetTable(slots);
+        for (std::size_t j = 0; j < old.size(); j += stride_) {
+            if (old[j] != kInvalidAddr)
+                std::memcpy(slotAt(probe(old[j])), &old[j], slotBytes());
+        }
+        size_ = live;
+    }
+
+    /** Read one zero-extended snapshot mask of `record_words` words
+     *  into an entry's `n` slot words. */
+    static void
+    loadWords(SnapshotReader &r, std::uint64_t *w, std::uint32_t n,
+              std::uint32_t record_words)
+    {
+        for (std::uint32_t k = 0; k < record_words; ++k) {
+            const std::uint64_t v = r.u64();
+            if (k < n)
+                w[k] = v;
+            else if (v != 0)
+                throw SnapshotError("directory entry wider than the machine");
+        }
     }
 
     SystemConfig cfg_;
+    std::uint8_t l1Words_; //!< ⌈l1Count/64⌉
+    std::uint8_t l2Words_; //!< ⌈l2Banks/64⌉
+    std::size_t stride_;   //!< words per slot
     /**
-     * Open-addressing map: the directory is probed on every L2 search
+     * Open-addressing table: the directory is probed on every L2 search
      * step and every fill, so the lookup must be one mixed hash and
-     * (almost always) one cache line rather than a node chase.
+     * (almost always) one cache line rather than a node chase. Slot i
+     * is the stride_ words at table_[i * stride_]; a kInvalidAddr key
+     * marks it empty.
      */
-    FlatMap<Addr, BlockInfo> map_;
+    std::vector<std::uint64_t> table_;
+    std::size_t mask_ = 0; //!< slots - 1 (slots is a power of two)
+    std::size_t size_ = 0; //!< live entries
 };
 
 } // namespace espnuca

@@ -18,7 +18,7 @@ L2Org::invalidateAllL2Copies(Addr a)
         return 0;
     // Snapshot the copy mask before the removals mutate the entry; the
     // ascending bit walk preserves the old target-list order.
-    const L2CopyMask targets = e->l2Copies;
+    const L2CopyMask targets = e->l2Copies();
     targets.forEachSet([&](std::uint32_t bit) {
         const BankId b = static_cast<BankId>(bit);
         const auto [set, way] = findCopy(b, a);

@@ -281,7 +281,7 @@ Protocol::probe(Transaction &tx, BankId bank, std::uint32_t set_index,
         BlockClass demand_cls = BlockClass::Private;
         if (b.wantsDemandStream()) {
             const BlockInfo *e = dir_.find(addr);
-            if (e && e->sharedStatus)
+            if (e && e->sharedStatus())
                 demand_cls = BlockClass::Shared;
         }
         b.recordDemand(set_index, addr, demand_cls, r.firstClassHit);

@@ -31,7 +31,7 @@ Protocol::collectTokens(Transaction &tx, Cycle t_ordering)
     // Invalidate every other L1 holder. The holder set is snapshot as
     // a bitmask (the drops below mutate the live entry) and walked in
     // ascending L1Id order, matching the old target-list iteration.
-    const L1HolderMask l1_targets = e->l1Holders.withCleared(self);
+    const L1HolderMask l1_targets = e->l1Holders().withCleared(self);
     l1_targets.forEachSet([&](std::uint32_t bit) {
         const L1Id h = static_cast<L1Id>(bit);
         const NodeId n = topo_.coreNode(coreOfL1(h));
@@ -47,7 +47,7 @@ Protocol::collectTokens(Transaction &tx, Cycle t_ordering)
     // Invalidate every L2 copy (tokens flow to the writer).
     e = dir_.find(tx.addr); // may have been released above
     const L2CopyMask l2_targets =
-        e != nullptr ? e->l2Copies : L2CopyMask{};
+        e != nullptr ? e->l2Copies() : L2CopyMask{};
     l2_targets.forEachSet([&](std::uint32_t bit) {
         const BankId b = static_cast<BankId>(bit);
         const NodeId n = topo_.bankNode(b);
@@ -75,14 +75,14 @@ Protocol::sweepForWrite(Transaction &tx)
     const L1Id self = l1IdOf(tx.core, tx.type == AccessType::Ifetch);
     // Snapshot the holder masks before mutating the live entry; the
     // ascending bit walk preserves the old target-list order.
-    const L1HolderMask l1_targets = e->l1Holders.withCleared(self);
+    const L1HolderMask l1_targets = e->l1Holders().withCleared(self);
     l1_targets.forEachSet([&](std::uint32_t bit) {
         dropL1Copy(tx.addr, static_cast<L1Id>(bit));
     });
     e = dir_.find(tx.addr);
     if (e == nullptr)
         return;
-    const L2CopyMask l2_targets = e->l2Copies;
+    const L2CopyMask l2_targets = e->l2Copies();
     l2_targets.forEachSet([&](std::uint32_t bit) {
         const BankId b = static_cast<BankId>(bit);
         const auto [set, way] = org_.findCopy(b, tx.addr);
@@ -145,7 +145,7 @@ Protocol::fillRequesterL1(Transaction &tx)
     dir_.addL1(tx.addr, id, owner);
     if (tx.isWrite) {
         const BlockInfo *e = dir_.find(tx.addr);
-        ESP_ASSERT(e && e->numL1Holders() == 1 && e->l2Copies.none(),
+        ESP_ASSERT(e && e->numL1Holders() == 1 && !e->anyL2Copy(),
                    "writer is not the sole holder");
         dir_.setOwner(tx.addr, OwnerKind::L1, id);
     }

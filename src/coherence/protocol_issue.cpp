@@ -68,9 +68,9 @@ Protocol::access(CoreId c, AccessType t, Addr a, OpDone done)
             // A store needs every token: sole L1 holder, no L2 copies.
             const BlockInfo *e = dir_.find(a);
             ESP_ASSERT(e != nullptr, "L1 copy without directory entry");
-            serviceable = e->ownerKind == OwnerKind::L1 &&
-                          e->ownerIndex == id && e->numL1Holders() == 1 &&
-                          e->l2Copies.none();
+            serviceable = e->ownerKind() == OwnerKind::L1 &&
+                          e->ownerIndex() == id && e->numL1Holders() == 1 &&
+                          !e->anyL2Copy();
         }
         if (serviceable) {
             l1.touch(a, way);
@@ -156,9 +156,9 @@ Protocol::begin(Transaction *tx)
     if (tx->isUpgrade) {
         // Sole ownership may also have materialized already.
         const BlockInfo *e = dir_.find(tx->addr);
-        if (e != nullptr && e->ownerKind == OwnerKind::L1 &&
-            e->ownerIndex == self && e->numL1Holders() == 1 &&
-            e->l2Copies.none()) {
+        if (e != nullptr && e->ownerKind() == OwnerKind::L1 &&
+            e->ownerIndex() == self && e->numL1Holders() == 1 &&
+            !e->anyL2Copy()) {
             ++l1Hits_;
             tx->level = ServiceLevel::LocalL1;
             transition(*tx, TxState::HitReturn, t0);

@@ -113,15 +113,15 @@ Protocol::handleL2Miss(Transaction &tx, NodeId last_node, Cycle t)
     const L1Id self = l1IdOf(tx.core, tx.type == AccessType::Ifetch);
     L1Id source = 0;
     bool have_source = false;
-    if (e && e->l1Holders.any()) {
-        if (e->ownerKind == OwnerKind::L1 && e->ownerIndex != self) {
-            source = static_cast<L1Id>(e->ownerIndex);
+    if (e && e->anyL1Holder()) {
+        if (e->ownerKind() == OwnerKind::L1 && e->ownerIndex() != self) {
+            source = static_cast<L1Id>(e->ownerIndex());
             have_source = true;
         } else {
             // Nearest holder to the requester supplies the data; the
             // ascending bit walk keeps the old loop's tie-breaking.
             std::uint32_t best_hops = ~0u;
-            e->l1Holders.withCleared(self).forEachSet(
+            e->l1Holders().withCleared(self).forEachSet(
                 [&](std::uint32_t bit) {
                     const L1Id h = static_cast<L1Id>(bit);
                     const std::uint32_t d = topo_.hops(
@@ -156,11 +156,11 @@ Protocol::handleL2Miss(Transaction &tx, NodeId last_node, Cycle t)
     // Directory-guided remote L2 copy (e.g. a peer tile holding a spilled
     // or replicated block in the private-cache organizations): the home
     // directory forwards the request to the nearest holding bank.
-    if (e != nullptr && e->l2Copies.any()) {
+    if (e != nullptr && e->anyL2Copy()) {
         transition(tx, TxState::HitReturn, t_home);
         BankId src_bank = kInvalidBank;
         std::uint32_t best_hops = ~0u;
-        e->l2Copies.forEachSet([&](std::uint32_t bit) {
+        e->l2Copies().forEachSet([&](std::uint32_t bit) {
             const BankId b = static_cast<BankId>(bit);
             const std::uint32_t d =
                 topo_.hops(tx.reqNode, topo_.bankNode(b));

@@ -123,8 +123,8 @@ class TxAudit
             throw TxAuditError("write completed without a directory "
                                "entry (tx " +
                                std::to_string(id) + ")");
-        if (e->ownerKind != OwnerKind::L1 || e->ownerIndex != self_l1 ||
-            e->numL1Holders() != 1 || e->l2Copies.any())
+        if (e->ownerKind() != OwnerKind::L1 || e->ownerIndex() != self_l1 ||
+            e->numL1Holders() != 1 || e->anyL2Copy())
             throw TxAuditError(
                 "write done but requester is not the sole owner (tx " +
                 std::to_string(id) + ": holders " +

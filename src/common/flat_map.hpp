@@ -3,8 +3,8 @@
  * Open-addressing hash map with linear probing and backward-shift
  * deletion.
  *
- * The coherence engine keys MSHRs, live transactions, block locks and
- * the directory by address or id; std::unordered_map pays one heap
+ * The coherence engine keys MSHRs, live transactions and block locks
+ * by address or id; std::unordered_map pays one heap
  * node per entry plus a pointer chase per lookup. FlatMap keeps
  * key/value pairs in one contiguous power-of-two table, so a lookup is
  * a mixed hash, a masked index and (almost always) a single cache
@@ -64,9 +64,8 @@ class FlatMap
     struct Slot
     {
         // The occupancy flag leads: a probe reads `full` and then the
-        // key, and with a large V (e.g. the directory's BlockInfo) a
-        // trailing flag would drag the slot's far cache line into
-        // every probe, hit or miss.
+        // key, and with a large V a trailing flag would drag the
+        // slot's far cache line into every probe, hit or miss.
         bool full = false;
         std::pair<K, V> kv{};
     };

@@ -1,17 +1,17 @@
 /**
  * @file
- * Fixed-capacity inline bitset for the coherence holder masks.
+ * Fixed-capacity inline bitset: the full-width form of the coherence
+ * holder masks.
  *
- * The directory's per-block holder sets were raw uint32/uint64 masks,
- * which capped the substrate at 16 cores (32 L1s) and 64 banks. The
- * 64-core scaling work needs 128 L1 bits and 256 bank bits, so the
- * masks become small word arrays with the exact operations the
- * protocol's sweep walks use: ascending-order set-bit iteration (the
- * walk order is part of the frozen behavior — stats are byte-compared
- * across refactors), popcount, and single-bit updates. Everything is
- * inline and allocation-free; for the paper configuration only word 0
- * is ever non-zero, so the hot-path cost over the old scalar masks is
- * a handful of always-taken zero tests.
+ * The directory stores each block's holder and copy bits in only as
+ * many words as the modelled machine needs (coherence/directory.hpp)
+ * and hands out InlineBitset snapshots sized for the kMaxCores /
+ * kMaxL2Banks caps: 128 L1 bits and 256 bank bits. The protocol's
+ * sweeps walk those snapshots with the exact operations here:
+ * ascending-order set-bit iteration (the walk order is part of the
+ * frozen behavior — stats are byte-compared across refactors),
+ * popcount, and single-bit updates. Everything is inline and
+ * allocation-free.
  */
 
 #ifndef ESPNUCA_COMMON_INLINE_BITSET_HPP_

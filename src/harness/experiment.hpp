@@ -225,31 +225,6 @@ checkpointPath(const ExperimentConfig &cfg, const std::string &arch,
     return cfg.checkpointDir + "/" + hex + ".ckpt";
 }
 
-/**
- * Fold per-seed run results into a data point. Always iterates in the
- * order given — callers keep that order equal to the seed order, which
- * is what makes serial and parallel statistics bit-identical.
- */
-inline DataPoint
-foldRuns(const std::string &arch, const std::string &workload,
-         const std::vector<RunResult> &runs)
-{
-    DataPoint p;
-    p.arch = arch;
-    p.workload = workload;
-    for (const RunResult &res : runs) {
-        p.throughput.record(res.throughput);
-        p.avgIpc.record(res.avgIpc);
-        p.avgAccessTime.record(res.avgAccessTime);
-        p.onChipLatency.record(res.onChipLatency);
-        p.offChip.record(static_cast<double>(res.offChipAccesses));
-        for (std::size_t i = 0; i < p.levelContribution.size(); ++i)
-            p.levelContribution[i].record(res.levelContribution[i]);
-        p.lastRun = res;
-    }
-    return p;
-}
-
 /** Outcome of one crash-isolated seeded run: a result or a failure. */
 struct RunOutcome
 {

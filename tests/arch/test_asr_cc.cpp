@@ -180,7 +180,7 @@ TEST(CooperativeCaching, SpilledBlocksNotRespilled)
         rig.access(0, AccessType::Load, a);
         rig.churnL1(0, a);
     }
-    for (const auto &[addr, info] : rig.proto.dir().raw()) {
+    rig.proto.dir().forEach([&](Addr addr, const BlockInfo &info) {
         int victims = 0;
         for (BankId b = 0; b < rig.cfg.l2Banks; ++b) {
             if (!info.hasL2Copy(b))
@@ -191,7 +191,7 @@ TEST(CooperativeCaching, SpilledBlocksNotRespilled)
                 ++victims;
         }
         EXPECT_LE(victims, 1) << std::hex << addr;
-    }
+    });
 }
 
 } // namespace

@@ -115,7 +115,7 @@ TEST_F(DnucaFixture, WriteCollapsesAllCopies)
     access(3, AccessType::Store, 0x4000);
     const BlockInfo *e = proto.dir().find(0x4000);
     ASSERT_NE(e, nullptr);
-    EXPECT_TRUE(e->l2Copies.none());
+    EXPECT_TRUE(e->l2Copies().none());
     EXPECT_EQ(e->numL1Holders(), 1u);
 }
 

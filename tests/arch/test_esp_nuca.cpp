@@ -78,7 +78,7 @@ TEST_F(EspFixture, ReplicaCreatedOnSharedL1Eviction)
     const Addr a = remoteHomeAddr(0);
     access(0, AccessType::Load, a);
     access(7, AccessType::Load, a); // shared now, home holds it
-    ASSERT_TRUE(proto.dir().find(a)->sharedStatus);
+    ASSERT_TRUE(proto.dir().find(a)->sharedStatus());
     churnL1(0, a); // core 0 evicts its L1 copy -> replica locally
     EXPECT_GT(org.replicasCreated(), 0u);
     const BlockInfo *e = proto.dir().find(a);
@@ -110,7 +110,7 @@ TEST_F(EspFixture, WriteInvalidatesReplicas)
     access(4, AccessType::Store, a);
     const BlockInfo *e = proto.dir().find(a);
     ASSERT_NE(e, nullptr);
-    EXPECT_TRUE(e->l2Copies.none());
+    EXPECT_TRUE(e->l2Copies().none());
 }
 
 TEST_F(EspFixture, VictimCreatedWhenPrivateBlockDisplaced)
@@ -209,7 +209,7 @@ TEST_F(EspFixture, VictimTouchedByOtherCoreBecomesShared)
     const auto [set, way] = org.findCopy(home, victim_addr);
     ASSERT_NE(way, kNoWay);
     EXPECT_EQ(org.bank(home).meta(set, way).cls, BlockClass::Shared);
-    EXPECT_TRUE(proto.dir().find(victim_addr)->sharedStatus);
+    EXPECT_TRUE(proto.dir().find(victim_addr)->sharedStatus());
 }
 
 TEST_F(EspFixture, FlatVariantHasNoMonitor)

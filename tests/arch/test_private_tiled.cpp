@@ -46,8 +46,8 @@ TEST_F(PrivateFixture, NoL2AllocationOnFill)
     access(0, AccessType::Load, 0x4000);
     const BlockInfo *e = proto.dir().find(0x4000);
     ASSERT_NE(e, nullptr);
-    EXPECT_TRUE(e->l2Copies.none()); // only the L1 holds it
-    EXPECT_EQ(e->ownerKind, OwnerKind::L1);
+    EXPECT_TRUE(e->l2Copies().none()); // only the L1 holds it
+    EXPECT_EQ(e->ownerKind(), OwnerKind::L1);
 }
 
 TEST_F(PrivateFixture, L1EvictionFillsLocalTile)
@@ -92,7 +92,7 @@ TEST_F(PrivateFixture, WriteInvalidatesAllReplicas)
     access(3, AccessType::Store, 0x4000);
     const BlockInfo *e = proto.dir().find(0x4000);
     ASSERT_NE(e, nullptr);
-    EXPECT_TRUE(e->l2Copies.none());
+    EXPECT_TRUE(e->l2Copies().none());
     EXPECT_EQ(e->numL1Holders(), 1u);
 }
 

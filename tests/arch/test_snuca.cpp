@@ -85,7 +85,7 @@ TEST_F(SnucaFixture, InvalidateAllCopiesClearsDirectory)
     const BlockInfo *e = proto.dir().find(0x4000);
     // L1 copy remains; L2 bits gone.
     ASSERT_NE(e, nullptr);
-    EXPECT_TRUE(e->l2Copies.none());
+    EXPECT_TRUE(e->l2Copies().none());
 }
 
 } // namespace

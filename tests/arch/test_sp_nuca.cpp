@@ -40,7 +40,7 @@ TEST_F(SpFixture, FillAllocatesPrivateNearOwner)
     ASSERT_NE(e, nullptr);
     const BankId priv = map.privateBank(3, 0x4000);
     EXPECT_TRUE(e->hasL2Copy(priv));
-    EXPECT_FALSE(e->sharedStatus);
+    EXPECT_FALSE(e->sharedStatus());
     const auto [set, way] = org.findCopy(priv, 0x4000);
     ASSERT_NE(way, kNoWay);
     EXPECT_EQ(org.bank(priv).meta(set, way).cls, BlockClass::Private);
@@ -64,7 +64,7 @@ TEST_F(SpFixture, SecondCoreTriggersPrivatization)
     EXPECT_EQ(proto.privatizations(), before + 1);
     const BlockInfo *e = proto.dir().find(0x4000);
     ASSERT_NE(e, nullptr);
-    EXPECT_TRUE(e->sharedStatus);
+    EXPECT_TRUE(e->sharedStatus());
     // The block migrated to its shared home bank.
     const BankId home = map.sharedBank(0x4000);
     EXPECT_TRUE(e->hasL2Copy(home));
@@ -101,8 +101,8 @@ TEST_F(SpFixture, StatusResetsWhenBlockLeavesChip)
     access(6, AccessType::Load, 0x4000);
     const BlockInfo *e = proto.dir().find(0x4000);
     ASSERT_NE(e, nullptr);
-    EXPECT_FALSE(e->sharedStatus);
-    EXPECT_EQ(e->firstAccessor, 6u);
+    EXPECT_FALSE(e->sharedStatus());
+    EXPECT_EQ(e->firstAccessor(), 6u);
 }
 
 TEST_F(SpFixture, PrivateAndSharedCoexistInOneBank)
@@ -116,8 +116,8 @@ TEST_F(SpFixture, PrivateAndSharedCoexistInOneBank)
     const BlockInfo *b = proto.dir().find(0x10000);
     ASSERT_NE(a, nullptr);
     ASSERT_NE(b, nullptr);
-    EXPECT_FALSE(a->sharedStatus);
-    EXPECT_TRUE(b->sharedStatus);
+    EXPECT_FALSE(a->sharedStatus());
+    EXPECT_TRUE(b->sharedStatus());
 }
 
 TEST_F(SpFixture, DirtySharedEvictionLandsAtHome)

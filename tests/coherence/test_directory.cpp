@@ -7,7 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
+#include <set>
+#include <string>
+#include <utility>
+
 #include "coherence/directory.hpp"
+#include "common/rng.hpp"
 
 namespace espnuca {
 namespace {
@@ -31,8 +38,8 @@ TEST_F(DirFixture, FirstAccessSetsPrivateOwner)
     EXPECT_FALSE(dir.noteAccess(kA, 2));
     const BlockInfo *e = dir.find(kA);
     ASSERT_NE(e, nullptr);
-    EXPECT_EQ(e->firstAccessor, 2u);
-    EXPECT_FALSE(e->sharedStatus);
+    EXPECT_EQ(e->firstAccessor(), 2u);
+    EXPECT_FALSE(e->sharedStatus());
 }
 
 TEST_F(DirFixture, SecondCoreFlipsShared)
@@ -40,7 +47,7 @@ TEST_F(DirFixture, SecondCoreFlipsShared)
     dir.noteAccess(kA, 2);
     dir.addL1(kA, l1IdOf(2, false), true); // block is on chip
     EXPECT_TRUE(dir.noteAccess(kA, 5)); // privatization reset
-    EXPECT_TRUE(dir.find(kA)->sharedStatus);
+    EXPECT_TRUE(dir.find(kA)->sharedStatus());
     // Further accesses don't flip again.
     EXPECT_FALSE(dir.noteAccess(kA, 6));
     EXPECT_FALSE(dir.noteAccess(kA, 2));
@@ -53,15 +60,15 @@ TEST_F(DirFixture, OffChipBlockStartsOverAsPrivate)
     // block stays in the chip).
     dir.noteAccess(kA, 2);
     EXPECT_FALSE(dir.noteAccess(kA, 5));
-    EXPECT_FALSE(dir.find(kA)->sharedStatus);
-    EXPECT_EQ(dir.find(kA)->firstAccessor, 5u);
+    EXPECT_FALSE(dir.find(kA)->sharedStatus());
+    EXPECT_EQ(dir.find(kA)->firstAccessor(), 5u);
 }
 
 TEST_F(DirFixture, SameCoreRepeatStaysPrivate)
 {
     dir.noteAccess(kA, 2);
     EXPECT_FALSE(dir.noteAccess(kA, 2));
-    EXPECT_FALSE(dir.find(kA)->sharedStatus);
+    EXPECT_FALSE(dir.find(kA)->sharedStatus());
 }
 
 TEST_F(DirFixture, L1HolderBits)
@@ -73,8 +80,8 @@ TEST_F(DirFixture, L1HolderBits)
     EXPECT_TRUE(e->hasL1Holder(3));
     EXPECT_TRUE(e->hasL1Holder(7));
     EXPECT_EQ(e->numL1Holders(), 2u);
-    EXPECT_EQ(e->ownerKind, OwnerKind::L1);
-    EXPECT_EQ(e->ownerIndex, 3u);
+    EXPECT_EQ(e->ownerKind(), OwnerKind::L1);
+    EXPECT_EQ(e->ownerIndex(), 3u);
 }
 
 TEST_F(DirFixture, RemoveOwnerL1FallsBackToMemory)
@@ -84,7 +91,7 @@ TEST_F(DirFixture, RemoveOwnerL1FallsBackToMemory)
     dir.removeL1(kA, 3);
     const BlockInfo *e = dir.find(kA);
     ASSERT_NE(e, nullptr);
-    EXPECT_EQ(e->ownerKind, OwnerKind::Memory);
+    EXPECT_EQ(e->ownerKind(), OwnerKind::Memory);
 }
 
 TEST_F(DirFixture, LastHolderRemovalReleasesBlock)
@@ -97,8 +104,8 @@ TEST_F(DirFixture, LastHolderRemovalReleasesBlock)
     EXPECT_FALSE(dir.onChip(kA));
     // ...so the next arrival is private again.
     EXPECT_FALSE(dir.noteAccess(kA, 5));
-    EXPECT_FALSE(dir.find(kA)->sharedStatus);
-    EXPECT_EQ(dir.find(kA)->firstAccessor, 5u);
+    EXPECT_FALSE(dir.find(kA)->sharedStatus());
+    EXPECT_EQ(dir.find(kA)->firstAccessor(), 5u);
 }
 
 TEST_F(DirFixture, StatusSurvivesOnChipMoves)
@@ -111,7 +118,7 @@ TEST_F(DirFixture, StatusSurvivesOnChipMoves)
     dir.noteAccess(kA, 5); // shared
     dir.removeL2(kA, 2);   // transient zero-copy window
     dir.addL2(kA, 9, true);
-    EXPECT_TRUE(dir.find(kA)->sharedStatus);
+    EXPECT_TRUE(dir.find(kA)->sharedStatus());
     EXPECT_FALSE(dir.noteAccess(kA, 3)); // no double flip
 }
 
@@ -127,11 +134,11 @@ TEST_F(DirFixture, L2CopyBookkeeping)
     dir.addL2(kA, 12, true);
     const BlockInfo *e = dir.find(kA);
     EXPECT_TRUE(e->hasL2Copy(12));
-    EXPECT_EQ(e->ownerKind, OwnerKind::L2Bank);
-    EXPECT_EQ(e->ownerIndex, 12u);
+    EXPECT_EQ(e->ownerKind(), OwnerKind::L2Bank);
+    EXPECT_EQ(e->ownerIndex(), 12u);
     dir.removeL2(kA, 12);
     EXPECT_FALSE(dir.onChip(kA));
-    EXPECT_EQ(dir.find(kA)->ownerKind, OwnerKind::Memory);
+    EXPECT_EQ(dir.find(kA)->ownerKind(), OwnerKind::Memory);
 }
 
 TEST_F(DirFixture, MoveL2KeepsOwner)
@@ -141,7 +148,7 @@ TEST_F(DirFixture, MoveL2KeepsOwner)
     const BlockInfo *e = dir.find(kA);
     EXPECT_FALSE(e->hasL2Copy(3));
     EXPECT_TRUE(e->hasL2Copy(17));
-    EXPECT_EQ(e->ownerIndex, 17u);
+    EXPECT_EQ(e->ownerIndex(), 17u);
 }
 
 TEST_F(DirFixture, TokenConservationAcrossStates)
@@ -181,6 +188,268 @@ TEST_F(DirFixture, PopulationTracksDistinctBlocks)
     EXPECT_EQ(dir.population(), 2u);
     dir.removeL1(0x1000, 0);
     EXPECT_EQ(dir.population(), 1u);
+}
+
+SystemConfig
+machine(std::uint32_t cores, std::uint32_t banks)
+{
+    SystemConfig cfg;
+    cfg.numCores = cores;
+    cfg.l2Banks = banks;
+    return cfg;
+}
+
+TEST(DirectoryLayout, SlotSizedToTheMachine)
+{
+    // Key word + header word + one L1 word + one bank word.
+    EXPECT_EQ(Directory(machine(8, 32)).slotBytes(), 32u);
+    // 128 L1s need two words, 256 banks four.
+    EXPECT_EQ(Directory(machine(64, 256)).slotBytes(), 64u);
+}
+
+/** What the directory must report for one block. */
+struct RefEntry
+{
+    std::set<L1Id> l1;
+    std::set<BankId> l2;
+    OwnerKind ownerKind = OwnerKind::Memory;
+    std::uint32_t ownerIndex = 0;
+    bool shared = false;
+    CoreId first = kInvalidCore;
+};
+
+template <typename T>
+T
+pick(Rng &rng, const std::set<T> &s)
+{
+    auto it = s.begin();
+    std::advance(it, static_cast<long>(rng.below(s.size())));
+    return *it;
+}
+
+void
+expectSame(const Directory &dir, const std::map<Addr, RefEntry> &ref)
+{
+    ASSERT_EQ(dir.size(), ref.size());
+    std::size_t on_chip = 0;
+    dir.forEach([&](Addr a, const BlockInfo &e) {
+        SCOPED_TRACE(testing::Message() << "addr=0x" << std::hex << a);
+        const auto it = ref.find(a);
+        ASSERT_NE(it, ref.end());
+        const RefEntry &r = it->second;
+        L1HolderMask l1;
+        for (const L1Id id : r.l1)
+            l1.set(id);
+        L2CopyMask l2;
+        for (const BankId b : r.l2)
+            l2.set(b);
+        EXPECT_TRUE(e.l1Holders() == l1);
+        EXPECT_TRUE(e.l2Copies() == l2);
+        EXPECT_EQ(e.numL1Holders(), r.l1.size());
+        EXPECT_EQ(e.numL2Copies(), r.l2.size());
+        EXPECT_EQ(e.anyL1Holder(), !r.l1.empty());
+        EXPECT_EQ(e.anyL2Copy(), !r.l2.empty());
+        EXPECT_EQ(e.ownerKind(), r.ownerKind);
+        EXPECT_EQ(e.ownerIndex(), r.ownerIndex);
+        EXPECT_EQ(e.sharedStatus(), r.shared);
+        EXPECT_EQ(e.firstAccessor(), r.first);
+        EXPECT_EQ(dir.find(a), &e);
+        on_chip += e.onChip();
+    });
+    EXPECT_EQ(dir.population(), on_chip);
+}
+
+class DirectoryChurn
+    : public ::testing::TestWithParam<std::pair<std::uint32_t, std::uint32_t>>
+{
+};
+
+TEST_P(DirectoryChurn, MatchesMapModel)
+{
+    const SystemConfig cfg = machine(GetParam().first, GetParam().second);
+    Directory dir(cfg);
+    std::map<Addr, RefEntry> ref;
+    Rng rng(0xD1C0 + cfg.numCores);
+    bool high_l1 = false;
+    bool high_bank = false;
+    constexpr int kOps = 60000;
+    for (int i = 0; i < kOps; ++i) {
+        // The block pool grows over the run, so inserts (and the table
+        // doublings they trigger) interleave with holder updates.
+        const Addr a = 0x100000 + rng.below(1 + i / 12) * 64;
+        // Only the entry-creating calls may meet an unknown block.
+        const bool fresh = ref.count(a) == 0;
+        RefEntry &r = ref[a];
+        const auto c = static_cast<CoreId>(rng.below(cfg.numCores));
+        const auto id = static_cast<L1Id>(rng.below(cfg.l1Count()));
+        const auto b = static_cast<BankId>(rng.below(cfg.l2Banks));
+        const bool owner = rng.chance(0.5);
+        switch (fresh ? rng.below(2) : rng.below(7)) {
+        case 0: {
+            const bool on_chip = !r.l1.empty() || !r.l2.empty();
+            if (!on_chip && r.first != kInvalidCore) {
+                r.first = kInvalidCore;
+                r.shared = false;
+            }
+            bool flip = false;
+            if (r.first == kInvalidCore) {
+                r.first = c;
+            } else if (!r.shared && r.first != c) {
+                r.shared = true;
+                flip = true;
+            }
+            EXPECT_EQ(dir.noteAccess(a, c), flip);
+            break;
+        }
+        case 1:
+            dir.addL1(a, id, owner);
+            r.l1.insert(id);
+            if (owner) {
+                r.ownerKind = OwnerKind::L1;
+                r.ownerIndex = id;
+            }
+            high_l1 |= id >= 64;
+            break;
+        case 2:
+            if (!r.l1.empty()) {
+                const L1Id h = pick(rng, r.l1);
+                dir.removeL1(a, h);
+                r.l1.erase(h);
+                if (r.ownerKind == OwnerKind::L1 && r.ownerIndex == h) {
+                    r.ownerKind = OwnerKind::Memory;
+                    r.ownerIndex = 0;
+                }
+            }
+            break;
+        case 3:
+            if (r.l2.count(b) != 0)
+                break;
+            dir.addL2(a, b, owner);
+            r.l2.insert(b);
+            if (owner) {
+                r.ownerKind = OwnerKind::L2Bank;
+                r.ownerIndex = b;
+            }
+            high_bank |= b >= 64;
+            break;
+        case 4:
+            if (!r.l2.empty()) {
+                const BankId h = pick(rng, r.l2);
+                dir.removeL2(a, h);
+                r.l2.erase(h);
+                if (r.ownerKind == OwnerKind::L2Bank && r.ownerIndex == h) {
+                    r.ownerKind = OwnerKind::Memory;
+                    r.ownerIndex = 0;
+                }
+            }
+            break;
+        case 5:
+            if (!r.l2.empty() && r.l2.count(b) == 0) {
+                const BankId from = pick(rng, r.l2);
+                dir.moveL2(a, from, b);
+                r.l2.erase(from);
+                r.l2.insert(b);
+                if (r.ownerKind == OwnerKind::L2Bank && r.ownerIndex == from)
+                    r.ownerIndex = b;
+                high_bank |= b >= 64;
+            }
+            break;
+        default:
+            if (!r.l1.empty() && rng.chance(0.5)) {
+                const L1Id h = pick(rng, r.l1);
+                dir.setOwner(a, OwnerKind::L1, h);
+                r.ownerKind = OwnerKind::L1;
+                r.ownerIndex = h;
+            } else if (!r.l2.empty()) {
+                const BankId h = pick(rng, r.l2);
+                dir.setOwner(a, OwnerKind::L2Bank, h);
+                r.ownerKind = OwnerKind::L2Bank;
+                r.ownerIndex = h;
+            } else {
+                dir.setOwner(a, OwnerKind::Memory, 0);
+                r.ownerKind = OwnerKind::Memory;
+                r.ownerIndex = 0;
+            }
+            break;
+        }
+        if (i % 9973 == 0)
+            expectSame(dir, ref);
+    }
+    expectSame(dir, ref);
+    // 16 slots doubled at least eight times.
+    EXPECT_GT(dir.size(), 16u * 256 * 5 / 8);
+    EXPECT_EQ(high_l1, cfg.l1Count() > 64);
+    EXPECT_EQ(high_bank, cfg.l2Banks > 64);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothWidths, DirectoryChurn,
+    ::testing::Values(std::make_pair(8u, 32u), std::make_pair(64u, 256u)),
+    [](const auto &info) {
+        return std::to_string(info.param.first) + "c" +
+               std::to_string(info.param.second) + "b";
+    });
+
+/** A 64-core directory whose entries use every word of the slot. */
+Directory
+wideDirectory()
+{
+    Directory dir(machine(64, 256));
+    for (std::uint32_t i = 0; i < 3000; ++i) {
+        const Addr a = 0x200000 + Addr{i} * 64;
+        dir.noteAccess(a, i % 64);
+        dir.addL1(a, 127 - i % 128, i % 3 == 0);
+        dir.addL1(a, i % 61, false);
+        dir.addL2(a, 255 - i % 256, i % 3 == 1);
+        if (i % 5 == 0)
+            dir.noteAccess(a, (i + 1) % 64); // shared
+        if (i % 7 == 0)
+            dir.removeL1(a, 127 - i % 128);
+    }
+    return dir;
+}
+
+/** The fixed-size entry records of a Directory::save image, sorted:
+ *  address, 2 + 4 mask words, owner kind, owner index, shared status,
+ *  first accessor. */
+std::vector<std::string>
+records(const std::string &image)
+{
+    constexpr std::size_t kRecord = 8 + 8 * (2 + 4) + 1 + 4 + 1 + 4;
+    EXPECT_EQ((image.size() - 8) % kRecord, 0u);
+    std::vector<std::string> out;
+    for (std::size_t at = 8; at + kRecord <= image.size(); at += kRecord)
+        out.push_back(image.substr(at, kRecord));
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+TEST(DirectorySnapshot, SaveLoadSaveRoundTripAtFullWidth)
+{
+    const Directory dir = wideDirectory();
+    SnapshotWriter first;
+    dir.save(first);
+    Directory back(machine(64, 256));
+    SnapshotReader r(first.bytes());
+    back.load(r);
+    r.finish();
+    SnapshotWriter second;
+    back.save(second);
+    // The same records, each byte for byte. Their order may differ:
+    // the reloaded table grew through other intermediate sizes, and
+    // lookups are exact-key.
+    EXPECT_EQ(back.size(), dir.size());
+    EXPECT_EQ(back.population(), dir.population());
+    EXPECT_EQ(records(first.bytes()), records(second.bytes()));
+}
+
+TEST(DirectorySnapshot, NarrowMachineRefusesWideEntries)
+{
+    SnapshotWriter w;
+    wideDirectory().save(w);
+    Directory narrow(machine(8, 32));
+    SnapshotReader r(w.bytes());
+    EXPECT_THROW(narrow.load(r), SnapshotError);
 }
 
 } // namespace

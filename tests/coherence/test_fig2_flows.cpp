@@ -140,7 +140,7 @@ TEST(Fig2Flows, WriteToWidelySharedBlockCollectsEveryToken)
     const BlockInfo *e = sp.proto.dir().find(a);
     ASSERT_NE(e, nullptr);
     EXPECT_EQ(e->numL1Holders(), 1u);
-    EXPECT_TRUE(e->l2Copies.none());
+    EXPECT_TRUE(e->l2Copies().none());
 }
 
 TEST(Fig2Flows, UpgradeCheaperThanFullWriteMiss)

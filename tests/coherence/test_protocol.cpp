@@ -72,7 +72,7 @@ TEST_F(ProtoFixture, MemFillAllocatesHomeBank)
     const BlockInfo *e = proto.dir().find(0x4000);
     ASSERT_NE(e, nullptr);
     EXPECT_TRUE(e->hasL2Copy(home));
-    EXPECT_EQ(e->ownerKind, OwnerKind::L2Bank);
+    EXPECT_EQ(e->ownerKind(), OwnerKind::L2Bank);
     (void)set;
 }
 
@@ -107,8 +107,8 @@ TEST_F(ProtoFixture, WriteMakesSoleOwner)
     ASSERT_NE(e, nullptr);
     EXPECT_EQ(e->numL1Holders(), 1u);
     EXPECT_TRUE(e->hasL1Holder(l1IdOf(1, false)));
-    EXPECT_TRUE(e->l2Copies.none());
-    EXPECT_EQ(e->ownerKind, OwnerKind::L1);
+    EXPECT_TRUE(e->l2Copies().none());
+    EXPECT_EQ(e->ownerKind(), OwnerKind::L1);
     EXPECT_FALSE(proto.l1(l1IdOf(0, false)).has(0x4000));
     EXPECT_FALSE(proto.l1(l1IdOf(3, false)).has(0x4000));
     EXPECT_GT(proto.invalidationsSent(), 0u);
@@ -131,7 +131,7 @@ TEST_F(ProtoFixture, UpgradeCollectsTokens)
     EXPECT_EQ(d.level, ServiceLevel::LocalL1);
     EXPECT_GT(d.latency, cfg.l1Latency);
     const BlockInfo *e = proto.dir().find(0x4000);
-    EXPECT_TRUE(e->l2Copies.none());
+    EXPECT_TRUE(e->l2Copies().none());
 }
 
 TEST_F(ProtoFixture, DirtyDataForwardedFromRemoteL1)
@@ -142,8 +142,8 @@ TEST_F(ProtoFixture, DirtyDataForwardedFromRemoteL1)
     // Both now hold a copy; core 2 keeps the owner token.
     const BlockInfo *e = proto.dir().find(0x4000);
     EXPECT_EQ(e->numL1Holders(), 2u);
-    EXPECT_EQ(e->ownerKind, OwnerKind::L1);
-    EXPECT_EQ(e->ownerIndex, l1IdOf(2, false));
+    EXPECT_EQ(e->ownerKind(), OwnerKind::L1);
+    EXPECT_EQ(e->ownerIndex(), l1IdOf(2, false));
 }
 
 TEST_F(ProtoFixture, MshrMergesSameBlockReads)

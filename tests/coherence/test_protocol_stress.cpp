@@ -60,7 +60,7 @@ TEST_P(StressSweep, RandomTrafficKeepsInvariants)
     EXPECT_EQ(completions, kOps);
     EXPECT_EQ(rig.proto->inFlight(), 0u);
 
-    for (const auto &[addr, info] : rig.proto->dir().raw()) {
+    rig.proto->dir().forEach([&](Addr addr, const BlockInfo &info) {
         SCOPED_TRACE(testing::Message()
                      << GetParam() << " addr=0x" << std::hex << addr);
         EXPECT_TRUE(rig.proto->dir().consistent(addr));
@@ -83,7 +83,7 @@ TEST_P(StressSweep, RandomTrafficKeepsInvariants)
                                 .meta(addr, way)
                                 .hasOwnerToken);
         }
-    }
+    });
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -108,15 +108,17 @@ TEST(StressDeterminism, SameSeedSameEndState)
         }
         rig.eq.run();
         std::uint64_t fp = rig.eq.now() * 1315423911ULL;
-        for (const auto &[addr, info] : rig.proto->dir().raw()) {
+        rig.proto->dir().forEach([&](Addr addr, const BlockInfo &info) {
+            const L1HolderMask l1 = info.l1Holders();
+            const L2CopyMask l2 = info.l2Copies();
             std::uint64_t holders = 0;
             std::uint64_t copies = 0;
             for (std::uint32_t k = 0; k < L1HolderMask::kWords; ++k)
-                holders = holders * 1000003ULL + info.l1Holders.word(k);
+                holders = holders * 1000003ULL + l1.word(k);
             for (std::uint32_t k = 0; k < L2CopyMask::kWords; ++k)
-                copies = copies * 1000003ULL + info.l2Copies.word(k);
+                copies = copies * 1000003ULL + l2.word(k);
             fp ^= addr * (holders + 3) + copies;
-        }
+        });
         return fp;
     };
     EXPECT_EQ(fingerprint(), fingerprint());

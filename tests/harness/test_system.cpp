@@ -41,8 +41,7 @@ TEST(System, WarmupDoesNotChangeFinalState)
     const RunResult ra = a.run();
     const RunResult rb = b.run();
     EXPECT_EQ(a.eq().now(), b.eq().now());
-    EXPECT_EQ(a.protocol().dir().raw().size(),
-              b.protocol().dir().raw().size());
+    EXPECT_EQ(a.protocol().dir().size(), b.protocol().dir().size());
     (void)ra;
     (void)rb;
 }

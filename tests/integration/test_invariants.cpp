@@ -19,9 +19,7 @@ checkConsistency(System &sys, const SystemConfig &cfg)
 {
     Protocol &proto = sys.protocol();
     L2Org &org = sys.org();
-    const auto &raw = proto.dir().raw();
-
-    for (const auto &[addr, info] : raw) {
+    proto.dir().forEach([&](Addr addr, const BlockInfo &info) {
         SCOPED_TRACE(testing::Message() << "addr=0x" << std::hex << addr);
         // Internal entry consistency.
         EXPECT_TRUE(proto.dir().consistent(addr));
@@ -44,7 +42,7 @@ checkConsistency(System &sys, const SystemConfig &cfg)
             total += proto.dir().tokensOf(addr, OwnerKind::L2Bank, b);
         total += proto.dir().tokensOf(addr, OwnerKind::Memory, 0);
         EXPECT_EQ(total, cfg.totalTokens());
-    }
+    });
 
     // The reverse direction: no bank line without a directory bit.
     for (BankId b = 0; b < cfg.l2Banks; ++b) {
@@ -107,10 +105,10 @@ TEST(Invariants, WriterIsAlwaysSoleHolder)
     }
     eq.run();
     EXPECT_EQ(proto.inFlight(), 0u);
-    for (const auto &[addr, info] : proto.dir().raw()) {
+    proto.dir().forEach([&](Addr addr, const BlockInfo &info) {
         EXPECT_TRUE(proto.dir().consistent(addr));
-        if (info.ownerKind == OwnerKind::L1) {
-            const L1Id id = static_cast<L1Id>(info.ownerIndex);
+        if (info.ownerKind() == OwnerKind::L1) {
+            const L1Id id = static_cast<L1Id>(info.ownerIndex());
             const int way = proto.l1(id).lookup(addr);
             ASSERT_NE(way, kNoWay);
             if (proto.l1(id).meta(addr, way).dirty) {
@@ -120,7 +118,7 @@ TEST(Invariants, WriterIsAlwaysSoleHolder)
                 EXPECT_TRUE(proto.l1(id).meta(addr, way).hasOwnerToken);
             }
         }
-    }
+    });
 }
 
 TEST(Invariants, HelpingBlocksBoundedByProtectedLru)

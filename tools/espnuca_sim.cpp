@@ -616,7 +616,8 @@ main(int argc, char **argv)
         std::printf("throughput mean=%.3f ci95=%.3f over %zu runs\n",
                     thr.mean(), thr.ci95(), selected.size());
     }
-    if (o.prof && !o.json) {
+    // With --stats every per-run dump already carries the prof.* lines.
+    if (o.prof && !o.json && !o.stats) {
         std::ostringstream os;
         profReg.dump(os);
         std::printf("%s", os.str().c_str());

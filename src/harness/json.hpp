@@ -1,8 +1,9 @@
 /**
  * @file
  * Minimal JSON writer for machine-readable experiment output. Emits
- * deterministic, correctly escaped JSON without external dependencies;
- * enough for RunResult/DataPoint serialization (no parsing).
+ * deterministic, correctly escaped JSON without external dependencies,
+ * plus the CRC32C content trailer that frames one-object records.
+ * Reading goes through json_parse.hpp, the harness's one JSON reader.
  */
 
 #ifndef ESPNUCA_HARNESS_JSON_HPP_
@@ -11,7 +12,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -221,14 +221,6 @@ class JsonWriter
     bool pendingValue_ = false;
 };
 
-// ---------------------------------------------------------------------
-// Span utilities over *compact* JSON (as produced by JsonWriter — no
-// inter-token whitespace). The persistent artifact formats (point
-// files, heartbeats, quarantine lists, ledger records) are compared and
-// re-framed byte-for-byte, never decoded; these scanners are the only
-// "parsing" they ever need.
-// ---------------------------------------------------------------------
-
 /** A string as a JSON string literal (JsonWriter escaping). */
 inline std::string
 jsonQuote(const std::string &s)
@@ -236,181 +228,6 @@ jsonQuote(const std::string &s)
     JsonWriter w;
     w.value(s);
     return w.str();
-}
-
-/**
- * Extract the raw value span of a top-level key from a compact JSON
- * object. String-aware and brace-balanced: spans may contain nested
- * containers and escaped quotes. Returns "" when the key is absent.
- */
-inline std::string
-jsonSpan(const std::string &doc, const std::string &key)
-{
-    const std::string needle = "\"" + key + "\":";
-    std::size_t i = 0;
-    int depth = 0;
-    bool in_str = false;
-    bool esc = false;
-    while (i < doc.size()) {
-        const char c = doc[i];
-        if (in_str) {
-            if (esc)
-                esc = false;
-            else if (c == '\\')
-                esc = true;
-            else if (c == '"')
-                in_str = false;
-            ++i;
-            continue;
-        }
-        if (c == '"') {
-            if (depth == 1 &&
-                doc.compare(i, needle.size(), needle) == 0) {
-                const std::size_t v = i + needle.size();
-                if (v >= doc.size())
-                    return std::string();
-                std::size_t end = v;
-                if (doc[v] == '"') {
-                    bool e2 = false;
-                    ++end;
-                    while (end < doc.size()) {
-                        const char k = doc[end];
-                        ++end;
-                        if (e2)
-                            e2 = false;
-                        else if (k == '\\')
-                            e2 = true;
-                        else if (k == '"')
-                            break;
-                    }
-                } else if (doc[v] == '{' || doc[v] == '[') {
-                    int d2 = 0;
-                    bool s2 = false;
-                    bool e2 = false;
-                    while (end < doc.size()) {
-                        const char k = doc[end];
-                        ++end;
-                        if (s2) {
-                            if (e2)
-                                e2 = false;
-                            else if (k == '\\')
-                                e2 = true;
-                            else if (k == '"')
-                                s2 = false;
-                        } else if (k == '"') {
-                            s2 = true;
-                        } else if (k == '{' || k == '[') {
-                            ++d2;
-                        } else if (k == '}' || k == ']') {
-                            if (--d2 == 0)
-                                break;
-                        }
-                    }
-                } else {
-                    while (end < doc.size() && doc[end] != ',' &&
-                           doc[end] != '}')
-                        ++end;
-                }
-                return doc.substr(v, end - v);
-            }
-            in_str = true;
-            ++i;
-            continue;
-        }
-        if (c == '{' || c == '[')
-            ++depth;
-        else if (c == '}' || c == ']')
-            --depth;
-        ++i;
-    }
-    return std::string();
-}
-
-/**
- * Split a compact JSON array span ("[...]") into its top-level element
- * spans. String-aware and brace-balanced like jsonSpan; scalars,
- * objects and nested arrays all come back verbatim.
- */
-inline std::vector<std::string>
-jsonArrayItems(const std::string &arr)
-{
-    std::vector<std::string> items;
-    if (arr.size() < 2 || arr.front() != '[')
-        return items;
-    std::size_t start = 1;
-    int depth = 0;
-    bool in_str = false;
-    bool esc = false;
-    for (std::size_t i = 1; i < arr.size(); ++i) {
-        const char c = arr[i];
-        if (in_str) {
-            if (esc)
-                esc = false;
-            else if (c == '\\')
-                esc = true;
-            else if (c == '"')
-                in_str = false;
-            continue;
-        }
-        if (c == '"') {
-            in_str = true;
-        } else if (c == '{' || c == '[') {
-            ++depth;
-        } else if (c == '}' || c == ']') {
-            if (c == ']' && depth == 0) {
-                if (i > start)
-                    items.push_back(arr.substr(start, i - start));
-                break;
-            }
-            --depth;
-        } else if (c == ',' && depth == 0) {
-            items.push_back(arr.substr(start, i - start));
-            start = i + 1;
-        }
-    }
-    return items;
-}
-
-/** Undo jsonQuote for the simple identifier strings the artifact
- *  formats store (arch/workload names, states — never escaped). */
-inline std::string
-jsonUnquote(const std::string &s)
-{
-    if (s.size() >= 2 && s.front() == '"' && s.back() == '"')
-        return s.substr(1, s.size() - 2);
-    return s;
-}
-
-/** Full inverse of jsonQuote: unquote AND decode escapes. For fields
- *  that carry arbitrary text (ledger `detail` holds error messages
- *  with quotes and newlines), where jsonUnquote is not enough. */
-inline std::string
-jsonDecode(const std::string &s)
-{
-    const std::string body = jsonUnquote(s);
-    std::string out;
-    out.reserve(body.size());
-    for (std::size_t i = 0; i < body.size(); ++i) {
-        if (body[i] != '\\' || i + 1 == body.size()) {
-            out += body[i];
-            continue;
-        }
-        switch (body[++i]) {
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': // jsonQuote only emits \u00xx control escapes
-            if (i + 4 < body.size()) {
-                out += static_cast<char>(
-                    std::strtoul(body.substr(i + 1, 4).c_str(), nullptr,
-                                 16));
-                i += 4;
-            }
-            break;
-        default: out += body[i]; break; // '"', '\\', '/'
-        }
-    }
-    return out;
 }
 
 // ---------------------------------------------------------------------
@@ -435,11 +252,14 @@ jsonCrcAppend(const std::string &core)
 
 /**
  * Verify a record's checksum trailer (trailing newline tolerated) and
- * return the covered body via `body`. @return false on a missing /
- * misplaced trailer or a checksum mismatch.
+ * return the covered body via `body`. `stored` / `actual`, when given,
+ * receive the trailer's checksum and the one recomputed over `body`;
+ * both stay untouched when there is no well-formed trailer. @return
+ * false on a missing / misplaced trailer or a checksum mismatch.
  */
 inline bool
-jsonCrcStrip(const std::string &doc, std::string &body)
+jsonCrcStrip(const std::string &doc, std::string &body,
+             std::string *stored = nullptr, std::string *actual = nullptr)
 {
     std::string rec = doc;
     if (!rec.empty() && rec.back() == '\n')
@@ -449,9 +269,14 @@ jsonCrcStrip(const std::string &doc, std::string &body)
                     ",\"crc32c\":\"") != 0 ||
         rec.compare(rec.size() - 2, 2, "\"}") != 0)
         return false;
-    const std::string stored = rec.substr(rec.size() - 10, 8);
+    const std::string have = rec.substr(rec.size() - 10, 8);
     body = rec.substr(0, rec.size() - kJsonCrcSuffixLen) + "}";
-    return stored == crc32cHex(crc32c(body));
+    const std::string want = crc32cHex(crc32c(body));
+    if (stored != nullptr)
+        *stored = have;
+    if (actual != nullptr)
+        *actual = want;
+    return have == want;
 }
 
 } // namespace espnuca

@@ -1,26 +1,32 @@
 /**
  * @file
- * Minimal recursive-descent JSON parser for harness tooling.
+ * Minimal recursive-descent JSON parser: the harness's one JSON reader.
  *
- * The JsonWriter/jsonSpan pair in json.hpp covers the hot paths — it
- * reads exactly the compact documents this repo writes. Cross-run
- * tooling (espnuca-report, espnuca-top) must also read documents it
- * did not write: pretty-printed BENCH_core.json, hand-edited
- * baselines, google-benchmark output. This parser accepts any
- * RFC 8259 document and produces an ordered value tree; it is not a
- * performance path and favours smallness over speed.
+ * It reads the compact artifacts this repo writes (point files,
+ * quarantine lists, heartbeats, run-ledger lines) and the documents it
+ * did not write (pretty-printed BENCH_core.json, hand-edited
+ * baselines, google-benchmark output) alike: any RFC 8259 document
+ * becomes an ordered value tree. It is not a performance path — the
+ * simulator never reads JSON — and favours smallness over speed.
  *
- * Numbers keep both the parsed double and the raw source text, so
- * tooling can render a value exactly as the document spelled it.
+ * Every value records the byte range it occupies in the source, so a
+ * reader can slice a value's exact bytes back out (espnuca-merge
+ * re-frames stored point spans verbatim through JsonWriter::raw).
+ * Numbers also keep their source spelling, which the strict jsonU64
+ * reader parses directly: counters above 2^53 never pass through the
+ * double in `number`.
  */
 
 #ifndef ESPNUCA_HARNESS_JSON_PARSE_HPP_
 #define ESPNUCA_HARNESS_JSON_PARSE_HPP_
 
 #include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -45,6 +51,15 @@ struct JsonValue
     std::string text; //!< string payload, or a number's source spelling
     std::vector<std::pair<std::string, JsonValue>> members;
     std::vector<JsonValue> items;
+    std::size_t offset = 0; //!< first byte of the value in the source
+    std::size_t length = 0; //!< its byte length in the source
+
+    /** The value's exact bytes in `source` (the parsed document). */
+    std::string
+    span(const std::string &source) const
+    {
+        return source.substr(offset, length);
+    }
 
     bool isObject() const { return kind == Kind::Object; }
     bool isArray() const { return kind == Kind::Array; }
@@ -225,7 +240,22 @@ class JsonParser
     bool
     value(JsonValue &out)
     {
+        // Bounded recursion: a torn or hostile artifact of nested
+        // brackets must fail as malformed, not overflow the stack.
+        if (depth_ == kMaxDepth)
+            return fail("nesting too deep");
         skipWs();
+        out.offset = pos_;
+        ++depth_;
+        const bool ok = valueAt(out);
+        --depth_;
+        out.length = pos_ - out.offset;
+        return ok;
+    }
+
+    bool
+    valueAt(JsonValue &out)
+    {
         if (pos_ >= s_.size())
             return fail("unexpected end of document");
         switch (s_[pos_]) {
@@ -292,9 +322,12 @@ class JsonParser
         }
     }
 
+    static constexpr int kMaxDepth = 256;
+
     const std::string &s_;
     std::string *error_;
     std::size_t pos_ = 0;
+    int depth_ = 0;
 };
 
 } // namespace detail
@@ -306,6 +339,51 @@ jsonParse(const std::string &text, JsonValue &out, std::string *error = nullptr)
 {
     out = JsonValue();
     return detail::JsonParser(text, error).parse(out);
+}
+
+/** A number member as an exact u64. Its source spelling must be plain
+ *  decimal digits with no sign, fraction or exponent, and fit in 64
+ *  bits. @return false when absent, mistyped or malformed. */
+inline bool
+jsonU64(const JsonValue *v, std::uint64_t &out)
+{
+    if (v == nullptr || !v->isNumber())
+        return false;
+    const char *end = v->text.data() + v->text.size();
+    const auto [at, ec] = std::from_chars(v->text.data(), end, out);
+    return ec == std::errc() && at == end;
+}
+
+/** A 16-hex-digit string member (digestHex spelling) as a u64.
+ *  @return false when absent, mistyped or malformed. */
+inline bool
+jsonHex64(const JsonValue *v, std::uint64_t &out)
+{
+    if (v == nullptr || !v->isString() || v->text.size() != 16)
+        return false;
+    const char *end = v->text.data() + v->text.size();
+    const auto [at, ec] = std::from_chars(v->text.data(), end, out, 16);
+    return ec == std::errc() && at == end;
+}
+
+/** A string member's decoded text. @return false when absent or not
+ *  a string. */
+inline bool
+jsonString(const JsonValue *v, std::string &out)
+{
+    if (v == nullptr || !v->isString())
+        return false;
+    out = v->text;
+    return true;
+}
+
+/** `read(v, out)` for an optional member: absence succeeds and leaves
+ *  `out` unchanged; a present member must read. */
+template <typename T, typename Reader>
+bool
+jsonOptional(const JsonValue *v, T &out, Reader read)
+{
+    return v == nullptr || read(v, out);
 }
 
 /**

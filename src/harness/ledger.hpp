@@ -46,6 +46,7 @@
 
 #include "common/rng.hpp"
 #include "harness/json.hpp"
+#include "harness/json_parse.hpp"
 #include "obs/obs_switch.hpp"
 
 namespace espnuca {
@@ -174,38 +175,31 @@ inline bool
 parseLedgerEvent(const std::string &line, LedgerEvent &out)
 {
     std::string body;
-    if (!jsonCrcStrip(line, body))
+    JsonValue v;
+    std::string schema;
+    LedgerEvent e;
+    std::uint64_t shard = 0;
+    if (!jsonCrcStrip(line, body) || !jsonParse(body, v) ||
+        !jsonString(v.find("schema"), schema) || schema != kLedgerSchema ||
+        !jsonU64(v.find("seq"), e.seq) ||
+        !jsonString(v.find("event"), e.event) ||
+        !jsonString(v.find("run"), e.run) || e.run.empty() ||
+        !jsonString(v.find("role"), e.role) || e.role.empty() ||
+        !jsonOptional(v.find("wall_ms"), e.wallMs, jsonU64) ||
+        !jsonOptional(v.find("pid"), e.pid, jsonU64) ||
+        !jsonOptional(v.find("shard"), shard, jsonU64) ||
+        shard > UINT32_MAX ||
+        !jsonOptional(v.find("point_hash"), e.pointHash, jsonHex64) ||
+        !jsonOptional(v.find("index"), e.index, jsonU64) ||
+        !jsonOptional(v.find("arch"), e.arch, jsonString) ||
+        !jsonOptional(v.find("workload"), e.workload, jsonString) ||
+        !jsonOptional(v.find("value"), e.value, jsonU64) ||
+        !jsonOptional(v.find("detail"), e.detail, jsonString) ||
+        !jsonOptional(v.find("build"), e.build, jsonString))
         return false;
-    if (jsonSpan(body, "schema") != jsonQuote(kLedgerSchema))
-        return false;
-    const std::string seq = jsonSpan(body, "seq");
-    const std::string event = jsonSpan(body, "event");
-    if (seq.empty() || event.size() < 2)
-        return false;
-    out.run = jsonUnquote(jsonSpan(body, "run"));
-    out.seq = std::strtoull(seq.c_str(), nullptr, 10);
-    out.wallMs =
-        std::strtoull(jsonSpan(body, "wall_ms").c_str(), nullptr, 10);
-    out.pid = std::strtoull(jsonSpan(body, "pid").c_str(), nullptr, 10);
-    out.role = jsonUnquote(jsonSpan(body, "role"));
-    out.shard = static_cast<std::uint32_t>(
-        std::strtoul(jsonSpan(body, "shard").c_str(), nullptr, 10));
-    out.event = jsonUnquote(event);
-    const std::string hash = jsonSpan(body, "point_hash");
-    out.pointHash = hash.size() == 18
-        ? std::strtoull(hash.substr(1, 16).c_str(), nullptr, 16)
-        : 0;
-    out.index =
-        std::strtoull(jsonSpan(body, "index").c_str(), nullptr, 10);
-    out.arch = jsonUnquote(jsonSpan(body, "arch"));
-    out.workload = jsonUnquote(jsonSpan(body, "workload"));
-    out.value =
-        std::strtoull(jsonSpan(body, "value").c_str(), nullptr, 10);
-    // detail and build carry free-form text (error messages, compiler
-    // strings) — decode escapes, not just the quotes.
-    out.detail = jsonDecode(jsonSpan(body, "detail"));
-    out.build = jsonDecode(jsonSpan(body, "build"));
-    return !out.run.empty() && !out.role.empty();
+    e.shard = static_cast<std::uint32_t>(shard);
+    out = std::move(e);
+    return true;
 }
 
 /**

@@ -38,7 +38,6 @@
 #include <unistd.h>
 
 #include "common/atomic_file.hpp"
-#include "common/crc32c.hpp"
 #include "common/rng.hpp"
 #include "common/snapshot.hpp"
 #include "harness/ledger.hpp"
@@ -180,11 +179,6 @@ pointRecordJson(const PointRecord &p)
     return jsonCrcAppend(w.str());
 }
 
-/** The checksum suffix every v2 record ends with: ,"crc32c":"hhhhhhhh"}
- *  (the shared json.hpp framing; ledger records use it too). */
-inline constexpr std::size_t kPointCrcTagLen = kJsonCrcTagLen;
-inline constexpr std::size_t kPointCrcSuffixLen = kJsonCrcSuffixLen;
-
 /**
  * Validate a record's checksum field against its content. Throws a
  * PointFileError naming `name` plus the expected/actual checksums; on
@@ -193,57 +187,54 @@ inline constexpr std::size_t kPointCrcSuffixLen = kJsonCrcSuffixLen;
 inline std::string
 verifyPointChecksum(const std::string &doc, const std::string &name)
 {
-    std::string body = doc;
-    if (!body.empty() && body.back() == '\n')
-        body.pop_back();
-    if (body.size() < kPointCrcSuffixLen ||
-        body.compare(body.size() - kPointCrcSuffixLen, kPointCrcTagLen,
-                     ",\"crc32c\":\"") != 0 ||
-        body.compare(body.size() - 2, 2, "\"}") != 0)
+    std::string body;
+    std::string stored;
+    std::string actual;
+    if (jsonCrcStrip(doc, body, &stored, &actual))
+        return body;
+    if (stored.empty())
         throw PointFileError(name + ": missing or misplaced checksum "
                                     "trailer",
                              PointFileError::Kind::NotARecord);
-    const std::string stored = body.substr(body.size() - 10, 8);
-    const std::string core =
-        body.substr(0, body.size() - kPointCrcSuffixLen) + "}";
-    const std::string actual = crc32cHex(crc32c(core));
-    if (stored != actual)
-        throw PointFileError(name + ": checksum mismatch, expected " +
-                                 stored + ", actual " + actual,
-                             PointFileError::Kind::ChecksumMismatch);
-    return core;
+    throw PointFileError(name + ": checksum mismatch, expected " +
+                             stored + ", actual " + actual,
+                         PointFileError::Kind::ChecksumMismatch);
 }
 
 /** Parse a results-directory file. @return false on any malformation
- *  (wrong schema, missing sections, unparseable counters). */
+ *  (wrong schema, missing or mistyped sections, malformed counters). */
 inline bool
 parsePointRecord(const std::string &doc, PointRecord &out)
 {
-    if (jsonSpan(doc, "schema") != jsonQuote(kPointSchema))
+    JsonValue v;
+    std::string schema;
+    PointRecord rec;
+    if (!jsonParse(doc, v) || !jsonString(v.find("schema"), schema) ||
+        schema != kPointSchema || !jsonString(v.find("bench"), rec.bench) ||
+        !jsonHex64(v.find("point_hash"), rec.hash) ||
+        !jsonU64(v.find("index"), rec.index) ||
+        !jsonU64(v.find("total"), rec.total))
         return false;
-    const std::string bench = jsonSpan(doc, "bench");
-    if (bench.size() < 2 || bench.front() != '"')
+    // The raw members keep their exact source bytes: espnuca-merge
+    // re-frames them verbatim, never re-serialized.
+    const auto raw = [&](const char *key, JsonValue::Kind kind,
+                         std::string &span) {
+        const JsonValue *m = v.find(key);
+        if (m == nullptr || m->kind != kind)
+            return false;
+        span = m->span(doc);
+        return true;
+    };
+    using K = JsonValue::Kind;
+    if (!raw("key", K::String, rec.key) ||
+        !raw("arch", K::String, rec.arch) ||
+        !raw("workload", K::String, rec.workload) ||
+        !raw("build", K::Object, rec.build) ||
+        !raw("config", K::Object, rec.config) ||
+        !raw("point", K::Object, rec.point))
         return false;
-    out.bench = bench.substr(1, bench.size() - 2);
-    const std::string hash = jsonSpan(doc, "point_hash");
-    if (hash.size() != 18 || hash.front() != '"')
-        return false;
-    out.hash = std::strtoull(hash.substr(1, 16).c_str(), nullptr, 16);
-    const std::string index = jsonSpan(doc, "index");
-    const std::string total = jsonSpan(doc, "total");
-    if (index.empty() || total.empty())
-        return false;
-    out.index = std::strtoull(index.c_str(), nullptr, 10);
-    out.total = std::strtoull(total.c_str(), nullptr, 10);
-    out.key = jsonSpan(doc, "key");
-    out.arch = jsonSpan(doc, "arch");
-    out.workload = jsonSpan(doc, "workload");
-    out.build = jsonSpan(doc, "build");
-    out.config = jsonSpan(doc, "config");
-    out.point = jsonSpan(doc, "point");
-    return !out.key.empty() && !out.arch.empty() &&
-           !out.workload.empty() && !out.build.empty() &&
-           !out.config.empty() && !out.point.empty();
+    out = std::move(rec);
+    return true;
 }
 
 /** Results file of a point (hash-addressed; bench-agnostic name so a
@@ -350,24 +341,30 @@ readQuarantine(const std::string &dir)
         return records;
     const std::string doc((std::istreambuf_iterator<char>(in)),
                           std::istreambuf_iterator<char>());
-    if (jsonSpan(doc, "schema") != jsonQuote(kQuarantineSchema))
+    JsonValue v;
+    std::string schema;
+    const bool parsed = jsonParse(doc, v) &&
+                        jsonString(v.find("schema"), schema) &&
+                        schema == kQuarantineSchema;
+    const JsonValue *points = v.find("points");
+    if (!parsed || (points != nullptr && !points->isArray()))
         throw PointFileError(path + ": not a quarantine file",
                              PointFileError::Kind::NotARecord);
-    for (const std::string &item :
-         jsonArrayItems(jsonSpan(doc, "points"))) {
+    if (points == nullptr)
+        return records;
+    for (const JsonValue &item : points->items) {
         QuarantineRecord q;
-        const std::string hash = jsonSpan(item, "point_hash");
-        const std::string index = jsonSpan(item, "index");
-        if (hash.size() != 18 || hash.front() != '"' || index.empty())
+        std::uint64_t deaths = 0;
+        if (!jsonHex64(item.find("point_hash"), q.hash) ||
+            !jsonU64(item.find("index"), q.index) ||
+            !jsonOptional(item.find("arch"), q.arch, jsonString) ||
+            !jsonOptional(item.find("workload"), q.workload, jsonString) ||
+            !jsonOptional(item.find("deaths"), deaths, jsonU64) ||
+            deaths > UINT32_MAX ||
+            !jsonOptional(item.find("error"), q.error, jsonString))
             throw PointFileError(path + ": malformed quarantine entry",
                                  PointFileError::Kind::NotARecord);
-        q.hash = std::strtoull(hash.substr(1, 16).c_str(), nullptr, 16);
-        q.index = std::strtoull(index.c_str(), nullptr, 10);
-        q.arch = jsonUnquote(jsonSpan(item, "arch"));
-        q.workload = jsonUnquote(jsonSpan(item, "workload"));
-        q.deaths = static_cast<std::uint32_t>(
-            std::strtoul(jsonSpan(item, "deaths").c_str(), nullptr, 10));
-        q.error = jsonUnquote(jsonSpan(item, "error"));
+        q.deaths = static_cast<std::uint32_t>(deaths);
         records.push_back(std::move(q));
     }
     return records;
@@ -437,24 +434,24 @@ heartbeatJson(const Heartbeat &hb)
 inline bool
 parseHeartbeat(const std::string &doc, Heartbeat &out)
 {
-    if (jsonSpan(doc, "schema") != jsonQuote(kHeartbeatSchema))
+    JsonValue v;
+    std::string schema;
+    Heartbeat hb;
+    if (!jsonParse(doc, v) || !jsonString(v.find("schema"), schema) ||
+        schema != kHeartbeatSchema ||
+        !jsonHex64(v.find("point_hash"), hb.pointHash) ||
+        !jsonU64(v.find("seq"), hb.seq) ||
+        !jsonString(v.find("state"), hb.state) || hb.state.empty() ||
+        !jsonOptional(v.find("pid"), hb.pid, jsonU64) ||
+        !jsonOptional(v.find("index"), hb.index, jsonU64) ||
+        !jsonOptional(v.find("arch"), hb.arch, jsonString) ||
+        !jsonOptional(v.find("workload"), hb.workload, jsonString) ||
+        !jsonOptional(v.find("done"), hb.done, jsonU64) ||
+        !jsonOptional(v.find("total"), hb.total, jsonU64) ||
+        !jsonOptional(v.find("wall_ms"), hb.wallMs, jsonU64))
         return false;
-    const std::string hash = jsonSpan(doc, "point_hash");
-    const std::string seq = jsonSpan(doc, "seq");
-    if (hash.size() != 18 || hash.front() != '"' || seq.empty())
-        return false;
-    out.pid = std::strtoull(jsonSpan(doc, "pid").c_str(), nullptr, 10);
-    out.seq = std::strtoull(seq.c_str(), nullptr, 10);
-    out.state = jsonUnquote(jsonSpan(doc, "state"));
-    out.pointHash = std::strtoull(hash.substr(1, 16).c_str(), nullptr, 16);
-    out.index = std::strtoull(jsonSpan(doc, "index").c_str(), nullptr, 10);
-    out.arch = jsonUnquote(jsonSpan(doc, "arch"));
-    out.workload = jsonUnquote(jsonSpan(doc, "workload"));
-    out.done = std::strtoull(jsonSpan(doc, "done").c_str(), nullptr, 10);
-    out.total = std::strtoull(jsonSpan(doc, "total").c_str(), nullptr, 10);
-    out.wallMs =
-        std::strtoull(jsonSpan(doc, "wall_ms").c_str(), nullptr, 10);
-    return !out.state.empty();
+    out = std::move(hb);
+    return true;
 }
 
 /** Atomic (tmp+rename, no fsync) heartbeat update; failures ignored —

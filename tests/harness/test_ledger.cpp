@@ -111,6 +111,38 @@ TEST(Ledger, FlippedByteAndTornTailRejected)
     EXPECT_FALSE(parseLedgerEvent("{\"schema\":\"other\"}", out));
 }
 
+TEST(Ledger, MistypedFieldRejectedOptionalFieldMayBeAbsent)
+{
+    LedgerEvent e;
+    e.event = "point-start";
+    e.pointHash = 0x1234;
+    e.index = 3;
+    e.detail = "why";
+    e.run = "0123456789abcdef";
+    e.role = "worker";
+    std::string body;
+    ASSERT_TRUE(jsonCrcStrip(ledgerEventJson(e), body));
+    // Re-frame an edited body under a valid checksum, so only the
+    // parser can refuse it.
+    const auto swap = [&](const std::string &from, const std::string &to) {
+        std::string doc = body;
+        doc.replace(doc.find(from), from.size(), to);
+        return jsonCrcAppend(doc);
+    };
+    LedgerEvent out;
+    EXPECT_FALSE(parseLedgerEvent(swap("\"index\":3", "\"index\":3.5"), out));
+    EXPECT_FALSE(parseLedgerEvent(
+        swap("\"point_hash\":\"0000000000001234\"", "\"point_hash\":\"1234\""),
+        out));
+    EXPECT_FALSE(
+        parseLedgerEvent(swap("\"detail\":\"why\"", "\"detail\":1"), out));
+    EXPECT_FALSE(parseLedgerEvent(swap("\"seq\":0", "\"seq\":\"0\""), out));
+    // The point fields and detail are optional.
+    ASSERT_TRUE(parseLedgerEvent(swap(",\"detail\":\"why\"", ""), out));
+    EXPECT_TRUE(out.detail.empty());
+    EXPECT_EQ(out.pointHash, 0x1234u);
+}
+
 TEST(Ledger, MakeRunIdIs16Hex)
 {
     const std::string id = makeRunId();

@@ -74,6 +74,32 @@ TEST(HeartbeatFormat, RejectsMalformation)
     EXPECT_FALSE(parseHeartbeat(good.substr(0, good.size() / 2), out));
 }
 
+TEST(HeartbeatFormat, MistypedFieldRejectedOptionalFieldMayBeAbsent)
+{
+    Heartbeat hb;
+    hb.state = "point-done";
+    hb.seq = (1ULL << 53) + 1; // a double would round this
+    hb.wallMs = 77;
+    const std::string good = heartbeatJson(hb);
+    Heartbeat out;
+    ASSERT_TRUE(parseHeartbeat(good, out));
+    EXPECT_EQ(out.seq, hb.seq);
+
+    const auto swap = [&](const std::string &from, const std::string &to) {
+        std::string doc = good;
+        doc.replace(doc.find(from), from.size(), to);
+        return doc;
+    };
+    // Present but mistyped or malformed: rejected, never read as 0.
+    EXPECT_FALSE(parseHeartbeat(swap("\"index\":0", "\"index\":\"0\""), out));
+    EXPECT_FALSE(parseHeartbeat(swap("\"done\":0", "\"done\":-1"), out));
+    EXPECT_FALSE(parseHeartbeat(swap("\"total\":0", "\"total\":1.5"), out));
+    EXPECT_FALSE(parseHeartbeat(swap("\"arch\":\"\"", "\"arch\":7"), out));
+    // wall_ms is optional: writers that predate it stay readable.
+    ASSERT_TRUE(parseHeartbeat(swap(",\"wall_ms\":77", ""), out));
+    EXPECT_EQ(out.wallMs, 0u);
+}
+
 TEST(HeartbeatFormat, WriterBumpsSequenceAndPid)
 {
     const std::string dir = freshDir("hbwrite");
@@ -126,6 +152,24 @@ TEST(QuarantineFormat, RoundTrips)
     std::filesystem::remove_all(dir);
 }
 
+TEST(QuarantineFormat, ErrorTextWithEscapesRoundTrips)
+{
+    // Free-form error text must come back decoded: espnuca-merge
+    // re-escapes it into failures[].error, so an undecoded read would
+    // double-escape every quote, newline and backslash.
+    const std::string dir = freshDir("qescape");
+    std::vector<QuarantineRecord> records(1);
+    records[0].hash = 0x00000000000000BBULL;
+    records[0].arch = "esp-nuca";
+    records[0].workload = "apache";
+    records[0].error = "worker said \"boom\"\nat C:\\tmp";
+    ASSERT_TRUE(writeQuarantine(dir, records));
+    const std::vector<QuarantineRecord> back = readQuarantine(dir);
+    ASSERT_EQ(back.size(), 1u);
+    EXPECT_EQ(back[0].error, records[0].error);
+    std::filesystem::remove_all(dir);
+}
+
 TEST(QuarantineFormat, MalformedFileThrows)
 {
     const std::string dir = freshDir("qbad");
@@ -142,19 +186,6 @@ TEST(QuarantineFormat, MalformedFileThrows)
     }
     EXPECT_THROW(readQuarantine(dir), PointFileError);
     std::filesystem::remove_all(dir);
-}
-
-TEST(JsonArrayItems, SplitsTopLevelElements)
-{
-    const std::vector<std::string> items =
-        jsonArrayItems("[{\"a\":[1,2]},\"s,t\",3,{\"b\":\"}\"}]");
-    ASSERT_EQ(items.size(), 4u);
-    EXPECT_EQ(items[0], "{\"a\":[1,2]}");
-    EXPECT_EQ(items[1], "\"s,t\"");
-    EXPECT_EQ(items[2], "3");
-    EXPECT_EQ(items[3], "{\"b\":\"}\"}");
-    EXPECT_TRUE(jsonArrayItems("[]").empty());
-    EXPECT_TRUE(jsonArrayItems("").empty());
 }
 
 // ------------------------------------------------------------------

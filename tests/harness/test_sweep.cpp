@@ -93,23 +93,6 @@ TEST(PointHash, TwoWaySplitGivesBothShardsWork)
     EXPECT_GT(owned[1], 0u);
 }
 
-TEST(JsonSpan, ExtractsScalarsStringsAndContainers)
-{
-    const std::string doc =
-        "{\"a\":1,\"b\":\"x,\\\"}y\",\"c\":{\"a\":99,\"d\":[1,2]},"
-        "\"e\":[{\"f\":3}],\"g\":true}";
-    EXPECT_EQ(jsonSpan(doc, "a"), "1");
-    EXPECT_EQ(jsonSpan(doc, "b"), "\"x,\\\"}y\"");
-    EXPECT_EQ(jsonSpan(doc, "c"), "{\"a\":99,\"d\":[1,2]}");
-    EXPECT_EQ(jsonSpan(doc, "e"), "[{\"f\":3}]");
-    EXPECT_EQ(jsonSpan(doc, "g"), "true");
-    EXPECT_EQ(jsonSpan(doc, "missing"), "");
-    // "a" nested inside "c" must not shadow the top-level "a", and a
-    // key that only exists nested must not be found at the top level.
-    EXPECT_EQ(jsonSpan(doc, "d"), "");
-    EXPECT_EQ(jsonSpan(doc, "f"), "");
-}
-
 TEST(JsonWriterRaw, ReframedSpansAreByteIdentical)
 {
     // A value serialized standalone, injected via raw() into a larger
@@ -133,8 +116,11 @@ TEST(JsonWriterRaw, ReframedSpansAreByteIdentical)
     outer.endObject();
     const std::string doc = outer.str();
 
-    EXPECT_EQ(jsonSpan(doc, "v"), span);
-    EXPECT_EQ(jsonSpan(doc, "arr"), "[" + span + "," + span + "]");
+    JsonValue v;
+    ASSERT_TRUE(jsonParse(doc, v));
+    EXPECT_EQ(v.find("v")->span(doc), span);
+    EXPECT_EQ(v.find("arr")->span(doc), "[" + span + "," + span + "]");
+    EXPECT_EQ(v.find("arr")->items[1].span(doc), span);
 }
 
 TEST(PointRecord, RoundTripsThroughItsFileFormat)
@@ -180,6 +166,18 @@ TEST(PointRecord, RejectsWrongSchemaAndTruncation)
     EXPECT_FALSE(parsePointRecord("{\"schema\":\"bogus\"}", out));
     EXPECT_FALSE(
         parsePointRecord(good.substr(0, good.size() / 2), out));
+
+    // Present but mistyped or malformed: rejected, never read as 0.
+    const auto swap = [&](const std::string &from, const std::string &to) {
+        std::string doc = good;
+        doc.replace(doc.find(from), from.size(), to);
+        return doc;
+    };
+    EXPECT_FALSE(parsePointRecord(swap("\"index\":0", "\"index\":\"0\""), out));
+    EXPECT_FALSE(parsePointRecord(swap("\"total\":1", "\"total\":-1"), out));
+    EXPECT_FALSE(
+        parsePointRecord(swap("\"point\":{}", "\"point\":\"{}\""), out));
+    EXPECT_FALSE(parsePointRecord(swap("\"arch\":\"x\"", "\"arch\":[]"), out));
 }
 
 TEST(ExperimentDigest, TracksResultAffectingKnobsOnly)

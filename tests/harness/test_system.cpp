@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <sstream>
+#include <string>
 
+#include "harness/report.hpp"
 #include "harness/system.hpp"
 
 namespace espnuca {
@@ -110,6 +113,37 @@ TEST(System, SimulateHelperMatchesManualAssembly)
     const RunResult b = sys.run();
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.offChipAccesses, b.offChipAccesses);
+}
+
+TEST(SystemAssembly, WorkloadAndSourceConstructorsAgree)
+{
+    // The Workload constructor delegates to the sources constructor via
+    // syntheticSources(); both assemblies must run the same machine,
+    // including across an idle core and the warmup reset.
+    SystemConfig cfg;
+    Workload wl = makeWorkload("apache", cfg, 3'000, 4);
+    wl.cores[5].ops = 0;
+    std::uint64_t total = 0;
+    for (const auto &p : wl.cores)
+        total += p.ops;
+    for (const char *arch : {"shared", "esp-nuca"}) {
+        for (const double warmup : {0.0, 0.25}) {
+            SCOPED_TRACE(std::string(arch) + " warmup " +
+                         std::to_string(warmup));
+            System a(cfg, arch, wl, 4, warmup);
+            System b(cfg, arch, wl.name, syntheticSources(cfg, wl, 4), 4,
+                     warmup, total);
+            const RunResult ra = a.run();
+            const RunResult rb = b.run();
+            EXPECT_EQ(runToJson(ra), runToJson(rb));
+            EXPECT_EQ(a.coreIpc(5), 0.0);
+            std::ostringstream da;
+            std::ostringstream db;
+            a.dumpStats(da);
+            b.dumpStats(db);
+            EXPECT_EQ(da.str(), db.str());
+        }
+    }
 }
 
 } // namespace

@@ -81,7 +81,9 @@ inline constexpr std::uint32_t kSnapshotMagic = 0x4E505345; // "ESPN"
 // v4: the identity header carries the placement digest (mesh shape +
 //     every core/bank/controller assignment), so a checkpoint can
 //     never be restored under a different physical layout.
-inline constexpr std::uint32_t kSnapshotVersion = 4;
+// v5: the mesh section drops its message-latency total (the mesh counts
+//     messages per routed delivery and keeps no latency sum).
+inline constexpr std::uint32_t kSnapshotVersion = 5;
 
 /** Identity a snapshot is bound to; all fields must match on restore. */
 struct SnapshotIdentity

@@ -45,28 +45,14 @@ class Mesh
     enum Dir : std::uint32_t { East = 0, West = 1, North = 2, South = 3 };
 
     /**
-     * Send a message and schedule `on_arrival` at its delivery time.
-     * @return the delivery cycle.
-     */
-    Cycle
-    send(NodeId src, NodeId dst, std::uint32_t bytes, EventFn on_arrival)
-    {
-        const Cycle arrival = deliveryTime(src, dst, bytes, eq_.now());
-        ++messagesSent_;
-        totalLatency_ += arrival - eq_.now();
-        if (on_arrival)
-            eq_.scheduleAt(arrival, std::move(on_arrival));
-        return arrival;
-    }
-
-    /**
-     * Compute (and reserve bandwidth for) a message injected at `start`.
-     * Exposed separately so protocol code can chain hops without lambdas.
+     * Compute (and reserve bandwidth for) a message injected at `start`
+     * and return its delivery cycle; the caller schedules the arrival.
      */
     Cycle
     deliveryTime(NodeId src, NodeId dst, std::uint32_t bytes, Cycle start)
     {
         ESP_PROF_SCOPE("mesh.route");
+        ++messagesSent_;
         const std::uint32_t flits = static_cast<std::uint32_t>(
             divCeil(bytes, cfg_.linkBytes));
         // Local delivery still crosses the router once (bank and L1 share
@@ -190,16 +176,6 @@ class Mesh
         mesh.counter("degraded_cycles").inc(totalDegradedCycles());
     }
 
-    /** Mean end-to-end message latency observed so far. */
-    double
-    meanLatency() const
-    {
-        return messagesSent_ == 0
-            ? 0.0
-            : static_cast<double>(totalLatency_) /
-                  static_cast<double>(messagesSent_);
-    }
-
     /** Access a specific directed link (testing / stats). */
     Link &
     linkAt(NodeId node, Dir d)
@@ -214,7 +190,6 @@ class Mesh
         for (auto &l : links_)
             l.resetStats();
         messagesSent_ = 0;
-        totalLatency_ = 0;
     }
 
     /** Attach the system's trace sink (null = untraced, the default). */
@@ -229,7 +204,6 @@ class Mesh
         for (const auto &l : links_)
             l.save(w);
         w.u64(messagesSent_);
-        w.u64(totalLatency_);
     }
 
     void
@@ -240,7 +214,6 @@ class Mesh
         for (auto &l : links_)
             l.load(r);
         messagesSent_ = r.u64();
-        totalLatency_ = r.u64();
     }
 
   private:
@@ -261,7 +234,6 @@ class Mesh
     SystemConfig cfg_;
     std::vector<Link> links_;
     std::uint64_t messagesSent_ = 0;
-    Cycle totalLatency_ = 0;
     obs::Tracer *tracer_ = nullptr;
 };
 

@@ -1,0 +1,20 @@
+# Bad-input check for espnuca-sim: run it with ARGS (space-separated;
+# the token %WORKDIR% names a fresh, empty directory) and require exit
+# code 2 plus an error on stderr matching EXPECT.
+file(REMOVE_RECURSE ${WORKDIR})
+file(MAKE_DIRECTORY ${WORKDIR})
+string(REPLACE "%WORKDIR%" "${WORKDIR}" args "${ARGS}")
+separate_arguments(args UNIX_COMMAND "${args}")
+execute_process(
+    COMMAND ${SIM} ${args}
+    RESULT_VARIABLE r
+    ERROR_VARIABLE err
+    OUTPUT_QUIET
+)
+if(NOT r EQUAL 2)
+    message(FATAL_ERROR "expected exit code 2, got ${r}: ${err}")
+endif()
+if(NOT err MATCHES "${EXPECT}")
+    message(FATAL_ERROR "stderr does not match '${EXPECT}': ${err}")
+endif()
+file(REMOVE_RECURSE ${WORKDIR})

@@ -18,11 +18,20 @@
  * 32 banks and 64 B at the 64-core / 256-bank caps, through one code
  * path. Only this file knows the word layout; callers see BlockInfo
  * accessors and full-width InlineBitset snapshots.
+ *
+ * An entry lives only while its block is on chip or locked by an
+ * in-flight transaction: a block whose copies all left the chip starts
+ * over as private (paper 2.1), so its entry holds nothing a later
+ * access reads. The last-copy removals queue the address and the
+ * protocol erases the queued entries between handlers
+ * (forgetOffChip), so the table scales with on-chip capacity rather
+ * than with the footprint.
  */
 
 #ifndef ESPNUCA_COHERENCE_DIRECTORY_HPP_
 #define ESPNUCA_COHERENCE_DIRECTORY_HPP_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -257,9 +266,12 @@ class Directory
     /**
      * Record the demand access of core c: establishes the first accessor
      * and performs the SP-NUCA privatization transition. A block whose
-     * copies all left the chip starts over as private (paper 2.1) —
-     * the reset is applied lazily here, so the status survives pure
-     * on-chip moves (e.g. a displaced private block becoming a victim).
+     * copies all left the chip starts over as private (paper 2.1). Its
+     * entry is usually forgotten by then (a fresh entry is private); an
+     * entry still here, because no forget pass ran since the last copy
+     * left, is reset here. The status survives pure on-chip moves (e.g.
+     * a displaced private block becoming a victim), since no access
+     * intervenes in their zero-copy window.
      * @return true when this access flips the block private -> shared.
      */
     bool
@@ -293,10 +305,11 @@ class Directory
     }
 
     /** Remove an L1 holder; owner token falls back to memory for now
-     *  (callers re-assign it when the data lands in an L2 bank). The
-     *  entry stays even when this was the last copy: the private/shared
-     *  status resets lazily at the next demand access, so transient
-     *  zero-copy windows during on-chip moves keep it. */
+     *  (callers re-assign it when the data lands in an L2 bank). When
+     *  this was the last copy the entry stays but is queued for the
+     *  next forgetOffChip(): L1 -> L2 moves, victim creation and
+     *  migrations pass through zero-copy windows and read the status
+     *  mid-handler, after this call. */
     void
     removeL1(Addr a, L1Id id)
     {
@@ -305,6 +318,8 @@ class Directory
         e.clearL1(id);
         if (e.ownerKind_ == OwnerKind::L1 && e.ownerIndex_ == id)
             e.setOwner(OwnerKind::Memory, 0);
+        if (!e.onChip())
+            forgettable_.push_back(a);
     }
 
     // -- L2 copy management --------------------------------------------
@@ -319,8 +334,8 @@ class Directory
             e.setOwner(OwnerKind::L2Bank, b);
     }
 
-    /** Remove an L2 copy (same owner fallback and entry retention as
-     *  removeL1). */
+    /** Remove an L2 copy (same owner fallback and last-copy queueing
+     *  as removeL1). */
     void
     removeL2(Addr a, BankId b)
     {
@@ -329,6 +344,8 @@ class Directory
         e.clearL2(b);
         if (e.ownerKind_ == OwnerKind::L2Bank && e.ownerIndex_ == b)
             e.setOwner(OwnerKind::Memory, 0);
+        if (!e.onChip())
+            forgettable_.push_back(a);
     }
 
     /** Move the L2 owner-token copy from one bank to another. */
@@ -342,6 +359,34 @@ class Directory
         e.setL2(to);
         if (e.ownerKind_ == OwnerKind::L2Bank && e.ownerIndex_ == from)
             e.setOwner(OwnerKind::L2Bank, to);
+    }
+
+    // -- Forgetting off-chip blocks -------------------------------------
+
+    /**
+     * Erase every queued entry whose block is still off chip and for
+     * which locked(a) is false. A locked block keeps its entry, and its
+     * place in the queue, until a pass finds it unlocked: its in-flight
+     * transaction's first accessor must survive until the fill lands.
+     * A block back on chip leaves the queue. Erasing invalidates
+     * BlockInfo pointers, so callers run this only between handlers.
+     */
+    template <typename Locked>
+    void
+    forgetOffChip(Locked &&locked)
+    {
+        std::size_t kept = 0;
+        for (const Addr a : forgettable_) {
+            const std::size_t i = probe(a);
+            const std::uint64_t *s = slotAt(i);
+            if (s[0] != a || headerOf(s)->onChip())
+                continue;
+            if (locked(a))
+                forgettable_[kept++] = a;
+            else
+                eraseSlot(i);
+        }
+        forgettable_.resize(kept);
     }
 
     /** Explicitly hand the owner token to a holder. */
@@ -410,7 +455,9 @@ class Directory
         return true;
     }
 
-    /** Tracked blocks, on chip or not (entries are never erased). */
+    /** Tracked blocks: every on-chip block, plus off-chip ones that are
+     *  locked or not yet forgotten. Equals population() after a
+     *  forgetOffChip() that found no queued block locked. */
     std::size_t size() const { return size_; }
 
     /** Visit every tracked block in table order as
@@ -430,12 +477,12 @@ class Directory
     // -- Snapshot/restore ----------------------------------------------
 
     /**
-     * Every entry is serialized, including off-chip ones: their
-     * sharedStatus/firstAccessor survive until the next demand access
-     * resets them lazily (noteAccess), so dropping them would change
-     * the privatization sequence of the restored run. Holder masks are
-     * written zero-extended to the 64-core/256-bank caps, so the record
-     * does not depend on the slot width. Bucket layout is not preserved
+     * Every entry is serialized. Holder masks are written zero-extended
+     * to the 64-core/256-bank caps, so the record does not depend on
+     * the slot width. A drained System has forgotten its off-chip
+     * entries before it saves; load() drops any off-chip record all
+     * the same, since a snapshot holds no lock and such a record holds
+     * nothing a later access reads. Bucket layout is not preserved
      * (lookups are exact-key; nothing iterates the table during
      * simulation).
      */
@@ -462,20 +509,29 @@ class Directory
     load(SnapshotReader &r)
     {
         resetTable(kMinSlots);
+        forgettable_.clear();
         const std::uint64_t n = r.u64();
         for (std::uint64_t i = 0; i < n; ++i) {
-            BlockInfo &e = entry(r.u64());
-            loadWords(r, e.l1Bits(), e.l1Words_, L1HolderMask::kWords);
-            loadWords(r, e.l2Bits(), e.l2Words_, L2CopyMask::kWords);
+            const Addr a = r.u64();
+            const auto l1 = readMask<L1HolderMask>(r);
+            const auto l2 = readMask<L2CopyMask>(r);
             const auto kind = static_cast<OwnerKind>(r.u8());
             const std::uint32_t index = r.u32();
             if (index > 0xFFFF)
                 throw SnapshotError("directory owner index out of range");
-            e.setOwner(kind, index);
-            e.sharedStatus_ = r.b();
+            const bool shared = r.b();
             const auto first = static_cast<CoreId>(r.u32());
             if (first != kInvalidCore && first >= BlockInfo::kNoAccessor)
                 throw SnapshotError("directory first accessor out of range");
+            if (l1.none() && l2.none())
+                continue; // off chip: nothing a later access reads
+            if (a == kInvalidAddr)
+                throw SnapshotError("directory record with the empty key");
+            BlockInfo &e = entry(a);
+            storeWords(l1, e.l1Bits(), e.l1Words_);
+            storeWords(l2, e.l2Bits(), e.l2Words_);
+            e.setOwner(kind, index);
+            e.sharedStatus_ = shared;
             e.setFirstAccessor(first);
         }
     }
@@ -533,7 +589,7 @@ class Directory
         if (s[0] == a)
             return *headerOf(s);
         // Claim the empty slot. Its other words are already zero: the
-        // table is zero-filled when built and nothing is ever erased.
+        // table is zero-filled when built and eraseSlot re-zeroes.
         s[0] = a;
         new (s + 1) BlockInfo(l1Words_, l2Words_);
         ++size_;
@@ -559,6 +615,28 @@ class Directory
         size_ = 0;
     }
 
+    /** Backward-shift deletion (Knuth 6.4 R, as FlatMap::eraseAt):
+     *  vacate slot i, then slide back every later entry of its cluster
+     *  whose probe chain still reaches the hole. The slot left empty is
+     *  re-zeroed for entry(). */
+    void
+    eraseSlot(std::size_t i)
+    {
+        std::size_t hole = i;
+        for (std::size_t j = (i + 1) & mask_; slotAt(j)[0] != kInvalidAddr;
+             j = (j + 1) & mask_) {
+            const std::size_t home = homeOf(slotAt(j)[0]);
+            if (((j - home) & mask_) >= ((j - hole) & mask_)) {
+                std::memcpy(slotAt(hole), slotAt(j), slotBytes());
+                hole = j;
+            }
+        }
+        std::uint64_t *s = slotAt(hole);
+        std::fill(s + 1, s + stride_, 0);
+        s[0] = kInvalidAddr;
+        --size_;
+    }
+
     /** Re-place every entry, in old table order, into `slots` slots. */
     void
     rehash(std::size_t slots)
@@ -573,17 +651,26 @@ class Directory
         size_ = live;
     }
 
-    /** Read one zero-extended snapshot mask of `record_words` words
-     *  into an entry's `n` slot words. */
-    static void
-    loadWords(SnapshotReader &r, std::uint64_t *w, std::uint32_t n,
-              std::uint32_t record_words)
+    /** Read one zero-extended snapshot mask. */
+    template <typename Mask>
+    static Mask
+    readMask(SnapshotReader &r)
     {
-        for (std::uint32_t k = 0; k < record_words; ++k) {
-            const std::uint64_t v = r.u64();
+        Mask m;
+        for (std::uint32_t k = 0; k < Mask::kWords; ++k)
+            m.setWord(k, r.u64());
+        return m;
+    }
+
+    /** Store a snapshot mask into an entry's `n` slot words. */
+    template <typename Mask>
+    static void
+    storeWords(const Mask &m, std::uint64_t *w, std::uint32_t n)
+    {
+        for (std::uint32_t k = 0; k < Mask::kWords; ++k) {
             if (k < n)
-                w[k] = v;
-            else if (v != 0)
+                w[k] = m.word(k);
+            else if (m.word(k) != 0)
                 throw SnapshotError("directory entry wider than the machine");
         }
     }
@@ -602,6 +689,9 @@ class Directory
     std::vector<std::uint64_t> table_;
     std::size_t mask_ = 0; //!< slots - 1 (slots is a power of two)
     std::size_t size_ = 0; //!< live entries
+    /** Blocks whose last copy left since the last forgetOffChip(),
+     *  plus the locked ones that pass kept (may repeat). */
+    std::vector<Addr> forgettable_;
 };
 
 } // namespace espnuca

@@ -313,6 +313,14 @@ class Protocol
     /** Number of transactions still in flight (drain check). */
     std::size_t inFlight() const { return live_.size(); }
 
+    /**
+     * Erase the directory entries of blocks that left the chip and
+     * whose lock is free (DESIGN.md 5.15). Every L1 miss runs this
+     * before it touches the tables; a drained System runs it once more,
+     * so its directory then holds exactly the on-chip blocks.
+     */
+    void forgetOffChip();
+
     /** Allocated MSHRs (epoch telemetry). */
     std::size_t mshrCount() const { return mshrs_.size(); }
 

@@ -90,7 +90,10 @@ Protocol::access(CoreId c, AccessType t, Addr a, OpDone done)
     }
 
     // Miss or write upgrade: merge into an existing transaction if one
-    // matches, otherwise start a new one behind the block lock.
+    // matches, otherwise start a new one behind the block lock. An
+    // access starts an event, so no handler is mid-move: forget the
+    // blocks that left the chip first.
+    forgetOffChip();
     auto it = mshrs_.find(key);
     if (it != mshrs_.end()) {
         it->second->waiters.push_back({issue, std::move(done)});
@@ -180,6 +183,12 @@ Protocol::begin(Transaction *tx)
     }
     transition(*tx, TxState::Searching, t0);
     org_.search(*tx);
+}
+
+void
+Protocol::forgetOffChip()
+{
+    dir_.forgetOffChip([this](Addr b) { return locks_.contains(b); });
 }
 
 void

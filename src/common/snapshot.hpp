@@ -277,6 +277,21 @@ class SnapshotReader
     bool b() { return u8() != 0; }
     double f64() { return std::bit_cast<double>(u64()); }
 
+    /**
+     * Read an element count and refuse one the remaining bytes cannot
+     * hold at `min_bytes` per element, so that a corrupt count fails
+     * here instead of sizing an allocation.
+     */
+    std::uint64_t
+    count(std::uint64_t min_bytes)
+    {
+        const std::uint64_t n = u64();
+        if (n > remaining() / min_bytes)
+            throw SnapshotError("element count beyond the snapshot",
+                                SnapshotError::Kind::Truncated);
+        return n;
+    }
+
     std::string
     str()
     {
@@ -330,7 +345,7 @@ class SnapshotReader
     void
     need(std::uint64_t n) const
     {
-        if (pos_ + n > data_.size())
+        if (n > data_.size() - pos_)
             throw SnapshotError("truncated snapshot",
                                 SnapshotError::Kind::Truncated);
     }

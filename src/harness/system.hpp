@@ -508,6 +508,7 @@ class System
             watchdog_->checkDrained();
         ESP_ASSERT(proto_.inFlight() == 0,
                    "transactions still in flight after drain");
+        proto_.forgetOffChip();
     }
 
     /** Epoch boundary: zero every statistic, open the window here. */

@@ -207,7 +207,7 @@ class Link
     load(SnapshotReader &r)
     {
         busy_.clear();
-        const std::uint64_t n = r.u64();
+        const std::uint64_t n = r.count(2 * sizeof(std::uint64_t));
         busy_.reserve(n);
         for (std::uint64_t i = 0; i < n; ++i) {
             Busy b;

@@ -134,7 +134,7 @@ class MetricsSampler
         if (iv != interval_)
             throw SnapshotError("metrics-interval mismatch");
         samples_.clear();
-        const std::uint64_t n = r.u64();
+        const std::uint64_t n = r.count(7 * sizeof(std::uint64_t));
         samples_.reserve(n);
         for (std::uint64_t i = 0; i < n; ++i) {
             MetricsSample s;
@@ -145,7 +145,7 @@ class MetricsSampler
             s.linkWait = r.u64();
             s.memAccesses = r.u64();
             s.hasMonitor = r.b();
-            const std::uint64_t nb = r.u64();
+            const std::uint64_t nb = r.count(5 * sizeof(std::uint64_t));
             s.banks.reserve(nb);
             for (std::uint64_t b = 0; b < nb; ++b) {
                 BankMetrics bm;

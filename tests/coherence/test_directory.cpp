@@ -2,16 +2,18 @@
  * @file
  * Directory / token-ledger tests: holder bookkeeping, owner-token
  * invariants, the SP-NUCA privatization lifecycle, token conservation
- * under the redistribution rule.
+ * under the redistribution rule, and forgetting off-chip blocks.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <map>
 #include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "coherence/directory.hpp"
 #include "common/rng.hpp"
@@ -190,6 +192,115 @@ TEST_F(DirFixture, PopulationTracksDistinctBlocks)
     EXPECT_EQ(dir.population(), 1u);
 }
 
+constexpr auto kNoLocks = [](Addr) { return false; };
+
+TEST_F(DirFixture, ForgetErasesOnlyQueuedOffChipUnlockedBlocks)
+{
+    dir.noteAccess(kA, 0);
+    dir.addL1(kA, 0, true);
+    dir.noteAccess(kA, 5); // shared
+    dir.addL1(0x8000, 1, true);
+    dir.noteAccess(0xC000, 2); // entry without copies, never queued
+    dir.removeL1(kA, 0);
+    // The entry outlives the removal: mid-handler moves still read it.
+    ASSERT_NE(dir.find(kA), nullptr);
+    EXPECT_TRUE(dir.find(kA)->sharedStatus());
+    // A locked block keeps its entry, and its place in the queue...
+    dir.forgetOffChip([](Addr a) { return a == kA; });
+    ASSERT_NE(dir.find(kA), nullptr);
+    EXPECT_EQ(dir.find(kA)->firstAccessor(), 0u);
+    EXPECT_EQ(dir.size(), 3u);
+    // ...until the first pass that finds it unlocked.
+    dir.forgetOffChip(kNoLocks);
+    EXPECT_EQ(dir.find(kA), nullptr);
+    EXPECT_NE(dir.find(0x8000), nullptr);
+    EXPECT_NE(dir.find(0xC000), nullptr);
+    EXPECT_EQ(dir.size(), 2u);
+    // A forgotten block comes back private with a fresh first accessor.
+    EXPECT_FALSE(dir.noteAccess(kA, 5));
+    EXPECT_EQ(dir.find(kA)->firstAccessor(), 5u);
+    EXPECT_FALSE(dir.find(kA)->sharedStatus());
+}
+
+TEST_F(DirFixture, BlockBackOnChipIsNotForgotten)
+{
+    dir.noteAccess(kA, 0);
+    dir.addL2(kA, 2, true);
+    dir.noteAccess(kA, 5); // shared
+    dir.removeL2(kA, 2);   // queued in the zero-copy window
+    dir.addL2(kA, 9, true);
+    dir.forgetOffChip(kNoLocks);
+    ASSERT_NE(dir.find(kA), nullptr);
+    EXPECT_TRUE(dir.find(kA)->sharedStatus());
+    // Leaving the chip again queues it afresh; a pass that finds it
+    // locked keeps it queued.
+    dir.removeL2(kA, 9);
+    dir.forgetOffChip([](Addr) { return true; });
+    EXPECT_NE(dir.find(kA), nullptr);
+    dir.forgetOffChip(kNoLocks);
+    EXPECT_EQ(dir.find(kA), nullptr);
+}
+
+/** Block addresses whose home slot in a 16-slot table is `home`. */
+std::vector<Addr>
+homedAt(std::size_t home, std::size_t n)
+{
+    std::vector<Addr> out;
+    for (Addr a = 0x40; out.size() < n; a += 0x40)
+        if ((mixHash64(a) & 15) == home)
+            out.push_back(a);
+    return out;
+}
+
+TEST(DirectoryErase, WrapAroundClusterStaysReachable)
+{
+    // Eight blocks in a fresh 16-slot table (load 1/2, no growth):
+    // five homed at the last slot and three at slot 0, so one cluster
+    // wraps over the table end as 15, 0, 1, ..., 6. Erasing from its
+    // front and middle must slide the wrapped entries back without
+    // orphaning any of them.
+    std::vector<Addr> blocks = homedAt(15, 5);
+    for (const Addr a : homedAt(0, 3))
+        blocks.push_back(a);
+    for (const std::vector<std::size_t> &erase :
+         {std::vector<std::size_t>{0}, {5}, {0, 1, 2}, {4, 6, 7},
+          {1, 3, 5, 7}}) {
+        SCOPED_TRACE(testing::Message() << "first erased " << erase[0]);
+        SystemConfig cfg;
+        Directory dir(cfg);
+        for (std::size_t k = 0; k < blocks.size(); ++k) {
+            dir.noteAccess(blocks[k], static_cast<CoreId>(k));
+            dir.addL1(blocks[k], static_cast<L1Id>(k), true);
+        }
+        for (const std::size_t k : erase)
+            dir.removeL1(blocks[k], static_cast<L1Id>(k));
+        dir.forgetOffChip(kNoLocks);
+        EXPECT_EQ(dir.size(), blocks.size() - erase.size());
+        for (std::size_t k = 0; k < blocks.size(); ++k) {
+            const BlockInfo *e = dir.find(blocks[k]);
+            if (std::find(erase.begin(), erase.end(), k) != erase.end()) {
+                EXPECT_EQ(e, nullptr) << k;
+                continue;
+            }
+            ASSERT_NE(e, nullptr) << k;
+            EXPECT_TRUE(e->hasL1Holder(static_cast<L1Id>(k)));
+            EXPECT_EQ(e->numL1Holders(), 1u);
+            EXPECT_EQ(e->firstAccessor(), k);
+        }
+        // The vacated slots were re-zeroed: re-created entries are
+        // fresh, whichever slot they land in.
+        for (const std::size_t k : erase) {
+            EXPECT_FALSE(dir.noteAccess(blocks[k], 7));
+            const BlockInfo *e = dir.find(blocks[k]);
+            ASSERT_NE(e, nullptr);
+            EXPECT_FALSE(e->onChip());
+            EXPECT_EQ(e->ownerKind(), OwnerKind::Memory);
+            EXPECT_EQ(e->firstAccessor(), 7u);
+        }
+        EXPECT_EQ(dir.size(), blocks.size());
+    }
+}
+
 SystemConfig
 machine(std::uint32_t cores, std::uint32_t banks)
 {
@@ -270,20 +381,29 @@ TEST_P(DirectoryChurn, MatchesMapModel)
     Directory dir(cfg);
     std::map<Addr, RefEntry> ref;
     Rng rng(0xD1C0 + cfg.numCores);
+    // Blocks the directory should have queued for the next forget
+    // pass: last-copy removals, and locked blocks a pass kept.
+    std::set<Addr> queued;
     bool high_l1 = false;
     bool high_bank = false;
+    std::size_t forgotten = 0;
+    std::size_t peak = 0;
     constexpr int kOps = 60000;
     for (int i = 0; i < kOps; ++i) {
         // The block pool grows over the run, so inserts (and the table
         // doublings they trigger) interleave with holder updates.
         const Addr a = 0x100000 + rng.below(1 + i / 12) * 64;
-        // Only the entry-creating calls may meet an unknown block.
+        // Only the entry-creating calls may meet an unknown (or
+        // forgotten) block.
         const bool fresh = ref.count(a) == 0;
         RefEntry &r = ref[a];
         const auto c = static_cast<CoreId>(rng.below(cfg.numCores));
         const auto id = static_cast<L1Id>(rng.below(cfg.l1Count()));
         const auto b = static_cast<BankId>(rng.below(cfg.l2Banks));
         const bool owner = rng.chance(0.5);
+        const auto offChip = [](const RefEntry &x) {
+            return x.l1.empty() && x.l2.empty();
+        };
         switch (fresh ? rng.below(2) : rng.below(7)) {
         case 0: {
             const bool on_chip = !r.l1.empty() || !r.l2.empty();
@@ -319,6 +439,8 @@ TEST_P(DirectoryChurn, MatchesMapModel)
                     r.ownerKind = OwnerKind::Memory;
                     r.ownerIndex = 0;
                 }
+                if (offChip(r))
+                    queued.insert(a);
             }
             break;
         case 3:
@@ -341,6 +463,8 @@ TEST_P(DirectoryChurn, MatchesMapModel)
                     r.ownerKind = OwnerKind::Memory;
                     r.ownerIndex = 0;
                 }
+                if (offChip(r))
+                    queued.insert(a);
             }
             break;
         case 5:
@@ -372,12 +496,36 @@ TEST_P(DirectoryChurn, MatchesMapModel)
             }
             break;
         }
+        peak = std::max(peak, dir.size());
+        if (rng.chance(0.01)) {
+            // A forget pass with a random quarter of the blocks locked.
+            const std::uint64_t salt = rng.below(4);
+            const auto locked = [salt](Addr x) {
+                return (x / 64 + salt) % 4 == 0;
+            };
+            dir.forgetOffChip(locked);
+            std::set<Addr> kept;
+            for (const Addr q : queued) {
+                const auto it = ref.find(q);
+                if (it == ref.end() || !offChip(it->second))
+                    continue;
+                if (locked(q)) {
+                    kept.insert(q);
+                } else {
+                    ref.erase(it);
+                    ++forgotten;
+                }
+            }
+            queued = std::move(kept);
+        }
         if (i % 9973 == 0)
             expectSame(dir, ref);
     }
     expectSame(dir, ref);
-    // 16 slots doubled at least eight times.
-    EXPECT_GT(dir.size(), 16u * 256 * 5 / 8);
+    // Forget passes erased thousands of entries while the table grew
+    // from 16 slots through at least eight doublings.
+    EXPECT_GT(forgotten, 2000u);
+    EXPECT_GT(peak, 16u * 256 * 5 / 8);
     EXPECT_EQ(high_l1, cfg.l1Count() > 64);
     EXPECT_EQ(high_bank, cfg.l2Banks > 64);
 }
@@ -441,6 +589,41 @@ TEST(DirectorySnapshot, SaveLoadSaveRoundTripAtFullWidth)
     EXPECT_EQ(back.size(), dir.size());
     EXPECT_EQ(back.population(), dir.population());
     EXPECT_EQ(records(first.bytes()), records(second.bytes()));
+}
+
+TEST(DirectorySnapshot, OffChipRecordsAreDroppedOnLoad)
+{
+    // A directory that never ran a forget pass: a third of its entries
+    // are off chip, and its image records them all.
+    Directory dir(machine(8, 32));
+    for (std::uint32_t i = 0; i < 3000; ++i) {
+        const Addr a = 0x300000 + Addr{i} * 64;
+        dir.noteAccess(a, i % 8);
+        dir.addL1(a, i % 16, true);
+        dir.addL2(a, i % 32, false);
+        if (i % 3 == 0) {
+            dir.removeL1(a, i % 16);
+            dir.removeL2(a, i % 32);
+        }
+    }
+    ASSERT_EQ(dir.size(), 3000u);
+    ASSERT_EQ(dir.population(), 2000u);
+    SnapshotWriter w;
+    dir.save(w);
+    Directory back(machine(8, 32));
+    SnapshotReader r(w.bytes());
+    back.load(r);
+    r.finish();
+    EXPECT_EQ(back.size(), back.population());
+    EXPECT_EQ(back.population(), 2000u);
+    // The on-chip records come back byte for byte.
+    SnapshotWriter again;
+    back.save(again);
+    const std::vector<std::string> all = records(w.bytes());
+    const std::vector<std::string> kept = records(again.bytes());
+    EXPECT_EQ(kept.size(), 2000u);
+    for (const std::string &rec : kept)
+        EXPECT_TRUE(std::binary_search(all.begin(), all.end(), rec));
 }
 
 TEST(DirectorySnapshot, NarrowMachineRefusesWideEntries)

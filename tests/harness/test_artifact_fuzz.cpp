@@ -2,7 +2,8 @@
  * @file
  * Seeded mutation fuzzing of the harness's one JSON reader and of every
  * artifact format read through it: point records, run-ledger lines,
- * heartbeats, quarantine lists, and raw jsonParse. Each case takes a
+ * heartbeats, quarantine lists, and raw jsonParse; and of the binary
+ * snapshot loader, fed a real esp-nuca checkpoint. Each case takes a
  * valid serialized record and applies a fixed, seeded number of byte
  * mutations (flip, truncate, insert, delete, duplicate). The CRC-framed
  * formats are also fuzzed with a mutated body under a recomputed
@@ -10,9 +11,9 @@
  * the checksum.
  *
  * Every call must return (accepting or rejecting) or throw a typed
- * PointFileError: no crash, no hang, no other exception. The suite is
- * deterministic and carries a ctest TIMEOUT; sanitizer builds run it
- * with the rest of ctest.
+ * PointFileError (SnapshotError for the snapshot loader): no crash, no
+ * hang, no other exception. The suite is deterministic and carries a
+ * ctest TIMEOUT; sanitizer builds run it with the rest of ctest.
  */
 
 #include <gtest/gtest.h>
@@ -27,8 +28,10 @@
 
 #include <unistd.h>
 
+#include "common/crc32c.hpp"
 #include "common/rng.hpp"
 #include "harness/sweep.hpp"
+#include "harness/system.hpp"
 
 namespace espnuca {
 namespace {
@@ -141,20 +144,26 @@ bodyOf(const std::string &record)
  */
 template <typename Frame, typename Read>
 Tally
-fuzz(const std::string &valid, std::uint64_t seed, Frame frame, Read read)
+fuzz(const std::string &valid, std::uint64_t seed, Frame frame, Read read,
+     int cases = kCases)
 {
     EXPECT_TRUE(read(frame(valid))) << "the unmutated input must read";
     Mutator mutate(seed);
     Tally t;
-    for (int i = 0; i < kCases; ++i) {
+    for (int i = 0; i < cases; ++i) {
         const std::string input = frame(mutate(valid));
         try {
             ++(read(input) ? t.accepted : t.rejected);
         } catch (const PointFileError &) {
             ++t.rejected;
         } catch (const std::exception &e) {
+            // Binary images are too long to print usefully.
             ADD_FAILURE() << "case " << i << " threw " << e.what()
-                          << " on: " << input;
+                          << " on: "
+                          << (input.size() <= 4096
+                                  ? input
+                                  : std::to_string(input.size()) +
+                                        " bytes");
         }
     }
     return t;
@@ -309,6 +318,72 @@ TEST(ArtifactFuzz, QuarantineList)
     const Tally t = fuzz(quarantineJson(records) + "\n", 7, asIs, read);
     EXPECT_GT(t.accepted, 0u);
     EXPECT_GT(t.rejected, 0u);
+    std::filesystem::remove_all(dir);
+}
+
+/** Append the CRC32C trailer a snapshot file carries. */
+std::string
+withSnapshotCrc(std::string body)
+{
+    const std::uint32_t crc = crc32c(body);
+    for (int i = 0; i < 4; ++i)
+        body += static_cast<char>((crc >> (8 * i)) & 0xFF);
+    return body;
+}
+
+TEST(SnapshotFuzz, EspNucaCheckpoint)
+{
+    // A real warmup checkpoint of a small esp-nuca machine (256 KB of
+    // L2 keeps each case cheap; every section is still present).
+    SystemConfig cfg;
+    cfg.l2SizeBytes = 256 * 1024;
+    constexpr std::uint64_t kSeed = 5;
+    const std::string dir =
+        (std::filesystem::temp_directory_path() /
+         ("espnuca_fuzz_snapshot_" + std::to_string(::getpid())))
+            .string();
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::string path = dir + "/point.ckpt";
+    simulatePhased(cfg, "esp-nuca", "apache", 1000, kSeed, 0.5, nullptr,
+                   path);
+    std::string file;
+    {
+        std::ifstream in(path, std::ios::binary);
+        file.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+    }
+    ASSERT_GT(file.size(), 4u);
+    const SnapshotIdentity id = SnapshotReader::fromFile(path).header();
+    const Workload tail = makeWorkload("apache", cfg, 500, kSeed);
+
+    // The warm-restore path of simulatePhased, minus the fallback: a
+    // SnapshotError (checksum mismatch included) or a foreign identity
+    // is a rejection.
+    const auto read = [&](const std::string &image) {
+        std::ofstream(path, std::ios::binary | std::ios::trunc) << image;
+        try {
+            SnapshotReader r = SnapshotReader::fromFile(path);
+            if (!(r.header() == id))
+                return false;
+            System sys(cfg, "esp-nuca", "apache",
+                       std::vector<std::unique_ptr<TraceSource>>(
+                           cfg.numCores),
+                       kSeed, 0.0, 0, nullptr);
+            sys.loadSnapshot(r, tail, kSeed);
+            r.finish();
+            return true;
+        } catch (const SnapshotError &) {
+            return false;
+        }
+    };
+    constexpr int kSnapshotCases = 400;
+    const Tally raw = fuzz(file, 8, asIs, read, kSnapshotCases);
+    EXPECT_EQ(raw.accepted, 0u) << "a mutant passed the checksum";
+    const Tally body = fuzz(file.substr(0, file.size() - 4), 9,
+                            withSnapshotCrc, read, kSnapshotCases);
+    EXPECT_GT(body.accepted, 0u);
+    EXPECT_GT(body.rejected, 0u);
     std::filesystem::remove_all(dir);
 }
 

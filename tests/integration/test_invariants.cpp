@@ -8,6 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "harness/system.hpp"
 
 namespace espnuca {
@@ -82,6 +87,100 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values("shared", "private", "sp-nuca", "esp-nuca",
                           "esp-nuca-flat", "d-nuca", "asr", "cc-70"),
         ::testing::Values("apache", "CG", "mcf-gzip")));
+
+const std::vector<std::string> kAllArchs = {
+    "shared",         "private",  "sp-nuca",       "sp-nuca-static",
+    "sp-nuca-shadow", "esp-nuca", "esp-nuca-flat", "d-nuca",
+    "asr",            "cc-0",     "cc-30",         "cc-70",
+    "cc-100"};
+
+/** A drained run holds a directory entry for exactly the on-chip
+ *  blocks: every block that left the chip was forgotten. */
+void
+expectOnlyOnChipEntries(System &sys)
+{
+    const Directory &dir = sys.protocol().dir();
+    EXPECT_GT(dir.population(), 0u);
+    EXPECT_EQ(dir.size(), dir.population());
+}
+
+class DrainedDirectory : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(DrainedDirectory, HoldsOnlyOnChipBlocks)
+{
+    // A 1 MB L2 makes blocks leave the chip within a short run.
+    SystemConfig cfg;
+    cfg.l2SizeBytes = 1024 * 1024;
+    const Workload wl = makeWorkload("mcf-gzip", cfg, 6000, 9);
+    System sys(cfg, GetParam(), wl, 9, 0.5);
+    sys.run();
+    expectOnlyOnChipEntries(sys);
+    checkConsistency(sys, cfg);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllArchs, DrainedDirectory,
+                         ::testing::ValuesIn(kAllArchs));
+
+TEST(DrainedDirectory, HoldsOnlyOnChipBlocksAt64Cores)
+{
+    // The 64-core/256-bank tiled machine of the scaling bench, with
+    // multi-word L1 masks in every slot; its L2 shrunk to 2 MB so that
+    // blocks leave the chip within a short run.
+    SystemConfig cfg;
+    cfg.numCores = 64;
+    cfg.l2Banks = 256;
+    cfg.l2SizeBytes = 2ULL * 1024 * 1024;
+    cfg.memControllers = 4;
+    cfg.placement = "tiled";
+    cfg.meshCols = 0;
+    cfg.meshRows = 0;
+    const Workload wl = makeWorkload("apache", cfg, 600, 4);
+    System sys(cfg, "esp-nuca", wl, 4, 0.5);
+    sys.run();
+    expectOnlyOnChipEntries(sys);
+}
+
+TEST(DrainedDirectory, SizeBoundedByOnChipCapacityThroughALongRun)
+{
+    // mcf-4 streams a 16 MB cold footprint through the 8 MB L2. An
+    // observer event samples the directory every 20k cycles: it may
+    // hold the on-chip blocks, at most one locked off-chip block per
+    // live transaction, and the few blocks that left since the last
+    // forget pass, which the idle cores' empty L1s more than cover.
+    SystemConfig cfg;
+    const Workload wl = makeWorkload("mcf-4", cfg, 4 * 20'000, 3);
+    System sys(cfg, "esp-nuca", wl, 3, 0.5);
+    const Directory &dir = sys.protocol().dir();
+    const std::size_t l2_blocks = cfg.l2SizeBytes / cfg.blockBytes;
+    const std::size_t l1_blocks =
+        std::size_t{cfg.l1Count()} * (cfg.l1SizeBytes / cfg.blockBytes);
+    EventQueue &eq = sys.eq();
+    std::size_t samples = 0;
+    std::size_t over = 0;
+    std::size_t peak = 0;
+    constexpr Cycle kEvery = 20'000;
+    std::function<void()> sample = [&]() {
+        eq.noteAuxFired();
+        ++samples;
+        peak = std::max(peak, dir.size());
+        over += dir.size() >
+                l2_blocks + l1_blocks + sys.protocol().inFlight();
+        if (eq.hasRealWork()) {
+            eq.noteAuxScheduled();
+            eq.schedule(kEvery, [&sample]() { sample(); });
+        }
+    };
+    eq.noteAuxScheduled();
+    eq.scheduleAt(kEvery, [&sample]() { sample(); });
+    sys.run();
+    EXPECT_GT(samples, 50u);
+    EXPECT_EQ(over, 0u) << "samples over the bound; peak size " << peak;
+    // The run fills the chip: the bound is not met by a small run.
+    EXPECT_GT(peak, l2_blocks / 2);
+    expectOnlyOnChipEntries(sys);
+}
 
 TEST(Invariants, WriterIsAlwaysSoleHolder)
 {

@@ -45,7 +45,14 @@
 #                   "snuca_audit_on": {...}, "audit_overhead_pct" },
 #     "sweep": { "two_shard_fig07_wall_seconds",
 #                "warm_restore": { "cold_seconds", "warm_seconds",
-#                                  "speedup" } } }
+#                                  "speedup" } },
+#     "loc": { "src_tools_lines" },
+#     "directory": { ... } }
+#
+# "loc" counts the .hpp/.cpp lines under src/ and tools/. "directory"
+# is a hand-recorded before/after peak-RSS measurement (see
+# DESIGN.md 5.15); the script carries it over from the previous
+# document unchanged.
 #
 # Environment: ESPNUCA_OPS / ESPNUCA_RUNS / ESPNUCA_JOBS thread through
 # to fig07 as in every figure bench.
@@ -139,6 +146,9 @@ warm_sim > "$CKPT_DIR/warm.json"
 WARM_END=$(date +%s.%N)
 cmp "$CKPT_DIR/cold.json" "$CKPT_DIR/warm.json"
 
+LOC=$(find src tools \( -name '*.hpp' -o -name '*.cpp' \) -exec cat {} + |
+      wc -l)
+
 # The new document lands in a temp file first: the regression guard
 # below diffs it against the committed baseline before it replaces it.
 NEW_JSON=$(mktemp)
@@ -146,12 +156,13 @@ python3 - "$MICRO_JSON" "$NEW_JSON" "$FIG07_JSON" \
     "$FIG07_START" "$FIG07_END" "$OBSOFF_JSON" \
     "$PROTO_JSON" "$AUDITON_JSON" "$BREAKDOWN_JSON" \
     "$SWEEP_START" "$SWEEP_END" "$COLD_START" "$COLD_END" \
-    "$WARM_END" <<'PY'
-import json, sys
+    "$WARM_END" "$LOC" "$OUT" <<'PY'
+import json, os, sys
 
 (micro_path, out_path, fig07_path, t0, t1, obsoff_path,
  proto_path, auditon_path, breakdown_path,
- sweep_t0, sweep_t1, cold_t0, cold_t1, warm_t1) = sys.argv[1:15]
+ sweep_t0, sweep_t1, cold_t0, cold_t1, warm_t1, loc,
+ prev_path) = sys.argv[1:17]
 with open(micro_path) as f:
     micro = json.load(f)
 with open(obsoff_path) as f:
@@ -252,6 +263,13 @@ report = {
         },
     },
 }
+
+report["loc"] = {"src_tools_lines": int(loc)}
+if os.path.exists(prev_path):
+    with open(prev_path) as f:
+        prev = json.load(f)
+    if "directory" in prev:
+        report["directory"] = prev["directory"]
 
 speedup = report["sweep"]["warm_restore"]["speedup"]
 if speedup < 2.0:

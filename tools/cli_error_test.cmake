@@ -1,9 +1,12 @@
 # Bad-input check for espnuca-sim: run it with ARGS (space-separated;
-# the token %WORKDIR% names a fresh, empty directory) and require exit
-# code 2 plus an error on stderr matching EXPECT.
+# the token %WORKDIR% names a fresh, empty directory and %FILE% an
+# empty regular file) and require exit code 2 plus an error on stderr
+# matching EXPECT.
 file(REMOVE_RECURSE ${WORKDIR})
 file(MAKE_DIRECTORY ${WORKDIR})
-string(REPLACE "%WORKDIR%" "${WORKDIR}" args "${ARGS}")
+file(WRITE ${WORKDIR}.file "")
+string(REPLACE "%FILE%" "${WORKDIR}.file" args "${ARGS}")
+string(REPLACE "%WORKDIR%" "${WORKDIR}" args "${args}")
 separate_arguments(args UNIX_COMMAND "${args}")
 execute_process(
     COMMAND ${SIM} ${args}
@@ -17,4 +20,4 @@ endif()
 if(NOT err MATCHES "${EXPECT}")
     message(FATAL_ERROR "stderr does not match '${EXPECT}': ${err}")
 endif()
-file(REMOVE_RECURSE ${WORKDIR})
+file(REMOVE_RECURSE ${WORKDIR} ${WORKDIR}.file)

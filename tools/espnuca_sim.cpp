@@ -31,6 +31,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <future>
 #include <iostream>
@@ -308,11 +309,23 @@ parse(int argc, char **argv)
         std::exit(2);
     }
     // The phased (--checkpoint) path builds its System internally and
-    // has no trace hook: refuse instead of silently writing no trace.
-    if (!o.checkpointDir.empty() && !o.traceOut.empty()) {
-        std::fprintf(stderr,
-                     "--checkpoint cannot be combined with --trace-out\n");
+    // has no trace or recording hook: refuse instead of silently
+    // writing nothing.
+    const char *unhooked = !o.traceOut.empty()      ? "--trace-out"
+                           : !o.recordTrace.empty() ? "--record-trace"
+                                                    : nullptr;
+    if (!o.checkpointDir.empty() && unhooked != nullptr) {
+        std::fprintf(stderr, "--checkpoint cannot be combined with %s\n",
+                     unhooked);
         usage(2);
+    }
+    // --record-trace writes core<N>.trace files into an existing
+    // directory.
+    if (!o.recordTrace.empty() &&
+        !std::filesystem::is_directory(o.recordTrace)) {
+        std::fprintf(stderr, "--record-trace: %s is not a directory\n",
+                     o.recordTrace.c_str());
+        std::exit(2);
     }
     // A replay with nothing to replay (missing or empty directory)
     // would "succeed" with all-zero statistics.

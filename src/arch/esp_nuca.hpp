@@ -151,7 +151,7 @@ class EspNuca : public SpNuca
         const int live = this->bank(bank).findAny(set, tx.addr);
         if (live == kNoWay)
             return; // migrated / reclassified by the base handler
-        const BlockMeta &m = this->bank(bank).meta(set, live);
+        const BlockMeta m = this->bank(bank).meta(set, live);
         if (m.cls != BlockClass::Shared)
             return;
         // Reuse filter: only blocks with demonstrated L2 reuse earn

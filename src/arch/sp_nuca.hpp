@@ -118,7 +118,7 @@ class SpNuca : public L2Org
     onL2ReadHit(Transaction &tx, BankId bank, std::uint32_t set, int way,
                 Cycle t) override
     {
-        const BlockMeta &m = this->bank(bank).meta(set, way);
+        const BlockMeta m = this->bank(bank).meta(set, way);
         if (m.cls == BlockClass::Private && m.owner != tx.core) {
             // Privatization (Figure 2b step 3'): reset the private bit
             // and migrate the block to its shared home bank.

@@ -130,7 +130,8 @@ class CacheBank
         return sets_[s].findAny(addr);
     }
 
-    const BlockMeta &
+    /** Way metadata of set `s`, by value (CacheSet::way). */
+    BlockMeta
     meta(std::uint32_t s, int way) const
     {
         return sets_[s].way(way);
@@ -212,7 +213,7 @@ class CacheBank
         const int way = policy_->chooseWay(cset, incoming.cls, context(s));
         if (way == kNoWay)
             return res;
-        const BlockMeta &victim = cset.way(way);
+        const BlockMeta victim = cset.way(way);
         if (victim.valid) {
             res.evicted = victim;
             policy_->onEvict(s, victim);
@@ -229,8 +230,8 @@ class CacheBank
     invalidate(std::uint32_t s, int way)
     {
         CacheSet &cset = sets_[s];
-        ESP_ASSERT(cset.way(way).valid, "invalidating an invalid way");
         const BlockMeta old = cset.way(way);
+        ESP_ASSERT(old.valid, "invalidating an invalid way");
         cset.clearWay(way);
         cset.demote(way);
         return old;

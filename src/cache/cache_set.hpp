@@ -10,9 +10,10 @@
  * bitmasks, so a probe is a branch-light scan over one or two cache
  * lines instead of a stride through per-way BlockMeta objects, and every
  * class-population count (the paper's per-set `n`) is a popcount. The
- * full BlockMeta records stay as a parallel cold array; all mutation of
- * the mirrored fields (addr/valid/cls) goes through the set's mutators
- * so the hot arrays never go stale.
+ * rest of a way's state sits in a 5-byte cold record (class, owner,
+ * dirty, owner token, hit counter); nothing is stored twice, and way()
+ * rebuilds a BlockMeta by value from the tag, the valid mask and that
+ * record.
  *
  * Replacement is accelerated further by a per-(set, class-mask) victim
  * candidate cache: lruAmong(mask) memoizes its answer and touch /
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "cache/block.hpp"
+#include "common/config.hpp"
 #include "common/log.hpp"
 #include "common/snapshot.hpp"
 #include "common/types.hpp"
@@ -48,7 +50,7 @@ inline constexpr int kNoWay = -1;
  * All per-way storage is inline (fixed-capacity arrays, not vectors):
  * a bank's sets live in one contiguous allocation, so a probe of a
  * cold set costs one memory stream instead of three dependent pointer
- * chases into separately heap-allocated tag/stamp/meta vectors.
+ * chases into separately heap-allocated tag/stamp/record vectors.
  */
 class CacheSet
 {
@@ -77,16 +79,26 @@ class CacheSet
 
     std::uint32_t numWays() const { return ways_; }
 
-    /** Read-only way metadata. All mutation goes through the mutators
-     *  below so the packed tag/valid/class arrays stay coherent. */
-    const BlockMeta &
+    /** Way metadata, rebuilt from the tag, the valid mask and the cold
+     *  record. A copy: mutate the way through the mutators below. */
+    BlockMeta
     way(int i) const
     {
         checkWay(i);
-        return meta_[static_cast<std::size_t>(i)];
+        const auto k = static_cast<std::size_t>(i);
+        const WayRecord &r = rec_[k];
+        BlockMeta m;
+        m.addr = tag_[k];
+        m.valid = (validMask_ >> k) & 1u;
+        m.dirty = r.dirty;
+        m.cls = static_cast<BlockClass>(r.cls);
+        m.owner = r.owner == kNoOwner ? kInvalidCore : r.owner;
+        m.hasOwnerToken = r.hasOwnerToken;
+        m.hits = r.hits;
+        return m;
     }
 
-    // -- Mutators (keep the hot arrays in sync) ------------------------
+    // -- Mutators --------------------------------------------------------
 
     /**
      * Overwrite a way with `m` wholesale (fills, test seeding). Does
@@ -100,13 +112,17 @@ class CacheSet
                                   << static_cast<std::uint32_t>(w);
         ESP_ASSERT(!m.valid || !(disabledMask_ & bit),
                    "assigning into a fault-disabled way");
-        BlockMeta &cur = meta_[static_cast<std::size_t>(w)];
-        if (cur.valid) {
+        WayRecord &cur = rec_[static_cast<std::size_t>(w)];
+        if (validMask_ & bit) {
             validMask_ &= ~bit;
-            classWays_[clsIndex(cur.cls)] &= ~bit;
+            classWays_[cur.cls] &= ~bit;
             dropVictimWay(w);
         }
-        cur = m;
+        cur.cls = static_cast<std::uint8_t>(clsIndex(m.cls));
+        cur.owner = packOwner(m.owner);
+        cur.dirty = m.dirty;
+        cur.hasOwnerToken = m.hasOwnerToken;
+        cur.hits = m.hits;
         tag_[static_cast<std::size_t>(w)] = m.valid ? m.addr
                                                     : kInvalidAddr;
         if (m.valid) {
@@ -126,13 +142,13 @@ class CacheSet
         checkWay(w);
         const std::uint64_t bit = std::uint64_t{1}
                                   << static_cast<std::uint32_t>(w);
-        BlockMeta &cur = meta_[static_cast<std::size_t>(w)];
-        if (cur.valid) {
+        WayRecord &cur = rec_[static_cast<std::size_t>(w)];
+        if (validMask_ & bit) {
             validMask_ &= ~bit;
-            classWays_[clsIndex(cur.cls)] &= ~bit;
+            classWays_[cur.cls] &= ~bit;
             dropVictimWay(w);
         }
-        cur.clear();
+        cur = WayRecord{};
         tag_[static_cast<std::size_t>(w)] = kInvalidAddr;
     }
 
@@ -141,34 +157,34 @@ class CacheSet
     setClass(int w, BlockClass cls, CoreId owner)
     {
         checkWay(w);
-        BlockMeta &cur = meta_[static_cast<std::size_t>(w)];
-        ESP_ASSERT(cur.valid, "reclassifying an invalid way");
+        WayRecord &cur = rec_[static_cast<std::size_t>(w)];
         const std::uint64_t bit = std::uint64_t{1}
                                   << static_cast<std::uint32_t>(w);
-        classWays_[clsIndex(cur.cls)] &= ~bit;
+        ESP_ASSERT(validMask_ & bit, "reclassifying an invalid way");
+        classWays_[cur.cls] &= ~bit;
         classWays_[clsIndex(cls)] |= bit;
-        cur.cls = cls;
-        cur.owner = owner;
+        cur.cls = static_cast<std::uint8_t>(clsIndex(cls));
+        cur.owner = packOwner(owner);
         // Old-class memos may have pointed at this way; new-class memos
         // may now be beaten by this way's stamp. Drop both families.
         dropVictimWay(w);
         dropVictimsForClass(cls);
     }
 
-    /** Set the dirty bit (cold field; not mirrored). */
+    /** Set the dirty bit (cold record). */
     void
     setDirty(int w, bool v)
     {
         checkWay(w);
-        meta_[static_cast<std::size_t>(w)].dirty = v;
+        rec_[static_cast<std::size_t>(w)].dirty = v;
     }
 
-    /** Set the owner-token bit (cold field; not mirrored). */
+    /** Set the owner-token bit (cold record). */
     void
     setOwnerToken(int w, bool v)
     {
         checkWay(w);
-        meta_[static_cast<std::size_t>(w)].hasOwnerToken = v;
+        rec_[static_cast<std::size_t>(w)].hasOwnerToken = v;
     }
 
     /** Saturating demand-hit counter bump (reuse filter). */
@@ -176,7 +192,7 @@ class CacheSet
     bumpHits(int w)
     {
         checkWay(w);
-        BlockMeta &cur = meta_[static_cast<std::size_t>(w)];
+        WayRecord &cur = rec_[static_cast<std::size_t>(w)];
         if (cur.hits < 255)
             ++cur.hits;
     }
@@ -184,14 +200,15 @@ class CacheSet
     // -- Search --------------------------------------------------------
 
     /**
-     * Hint the hardware to pull the tag and metadata arrays into cache
-     * ahead of a find() known to follow shortly. Pure performance hint.
+     * Hint the hardware to pull the tag array and the cold records into
+     * cache ahead of a find() known to follow shortly. Pure performance
+     * hint.
      */
     void
     prefetchTags() const
     {
         __builtin_prefetch(tag_.data());
-        __builtin_prefetch(meta_.data());
+        __builtin_prefetch(rec_.data());
     }
 
     /** Find a valid way holding `addr` whose class is in `mask`. */
@@ -218,8 +235,7 @@ class CacheSet
         for (std::uint64_t cand = validMask_; cand != 0;
              cand &= cand - 1) {
             const int i = __builtin_ctzll(cand);
-            if (tags[i] == addr &&
-                pred(meta_[static_cast<std::size_t>(i)]))
+            if (tags[i] == addr && pred(way(i)))
                 return i;
         }
         return kNoWay;
@@ -260,11 +276,11 @@ class CacheSet
     {
         checkWay(w);
         stamp_[static_cast<std::size_t>(w)] = --lo_;
-        const BlockMeta &cur = meta_[static_cast<std::size_t>(w)];
-        if (cur.valid) {
+        if (validMask_ & (std::uint64_t{1} << static_cast<std::uint32_t>(w))) {
             // The way now holds the globally smallest stamp: it IS the
             // LRU of every mask matching its class. Repair in place.
-            const ClassMask cb = classBit(cur.cls);
+            const ClassMask cb = classBit(static_cast<BlockClass>(
+                rec_[static_cast<std::size_t>(w)].cls));
             for (std::uint32_t m = 0; m < victim_.size(); ++m) {
                 if (m & cb)
                     victim_[m] = static_cast<std::int8_t>(w);
@@ -298,10 +314,7 @@ class CacheSet
     disableWays(std::uint64_t mask)
     {
         mask &= wayMask_;
-        for (std::uint32_t i = 0; i < numWays(); ++i)
-            if ((mask >> i) & 1u)
-                ESP_ASSERT(!meta_[i].valid,
-                           "disabling a way that holds data");
+        ESP_ASSERT(!(mask & validMask_), "disabling a way that holds data");
         disabledMask_ |= mask;
     }
 
@@ -360,7 +373,7 @@ class CacheSet
         for (std::uint64_t cand = validMask_; cand != 0;
              cand &= cand - 1) {
             const int i = __builtin_ctzll(cand);
-            if (!pred(meta_[static_cast<std::size_t>(i)]))
+            if (!pred(way(i)))
                 continue;
             if (best == kNoWay ||
                 stamp_[static_cast<std::size_t>(i)] < best_stamp) {
@@ -394,8 +407,7 @@ class CacheSet
         std::uint32_t n = 0;
         for (std::uint64_t cand = validMask_; cand != 0;
              cand &= cand - 1) {
-            if (pred(meta_[static_cast<std::size_t>(
-                    __builtin_ctzll(cand))]))
+            if (pred(way(__builtin_ctzll(cand))))
                 ++n;
         }
         return n;
@@ -435,9 +447,12 @@ class CacheSet
 
     /**
      * Serialize the full logical state: tags, occupancy masks, recency
-     * stamps and metadata. The victim memo cache is NOT serialized —
-     * it is a pure memoization of stamp_/classWays_ and lruAmong()
-     * recomputes identical answers from the restored arrays.
+     * stamps and metadata. Each way is written as a full BlockMeta
+     * record (the v5 checkpoint layout), so its addr and valid fields
+     * repeat the tag and the valid mask. The
+     * victim memo cache is NOT serialized — it is a pure memoization of
+     * stamp_/classWays_ and lruAmong() recomputes identical answers
+     * from the restored arrays.
      */
     void
     save(SnapshotWriter &w) const
@@ -450,7 +465,7 @@ class CacheSet
         w.i64(hi_);
         w.i64(lo_);
         for (std::uint32_t i = 0; i < ways_; ++i) {
-            const BlockMeta &m = meta_[i];
+            const BlockMeta m = way(static_cast<int>(i));
             w.u64(tag_[i]);
             w.i64(stamp_[i]);
             w.u64(m.addr);
@@ -462,6 +477,11 @@ class CacheSet
             w.u8(m.hits);
         }
     }
+
+    /** Restore a save() record. Throws SnapshotError on a record the
+     *  compact layout cannot hold: a way whose addr/valid disagree with
+     *  its tag and the valid mask, a class beyond BlockClass, or an
+     *  owner that is neither kInvalidCore nor below kMaxCores. */
 
     void
     load(SnapshotReader &r)
@@ -475,14 +495,21 @@ class CacheSet
         hi_ = r.i64();
         lo_ = r.i64();
         for (std::uint32_t i = 0; i < ways_; ++i) {
-            BlockMeta &m = meta_[i];
+            WayRecord &m = rec_[i];
             tag_[i] = r.u64();
             stamp_[i] = r.i64();
-            m.addr = r.u64();
-            m.valid = r.b();
+            const Addr addr = r.u64();
+            const bool valid = r.b();
+            if (valid != ((validMask_ >> i) & 1u) || addr != tag_[i])
+                throw SnapshotError("cache way disagrees with its tag");
             m.dirty = r.b();
-            m.cls = static_cast<BlockClass>(r.u8());
-            m.owner = static_cast<CoreId>(r.u32());
+            m.cls = r.u8();
+            if (m.cls > clsIndex(BlockClass::Victim))
+                throw SnapshotError("cache way class out of range");
+            const auto owner = static_cast<CoreId>(r.u32());
+            if (owner != kInvalidCore && owner >= kMaxCores)
+                throw SnapshotError("cache way owner out of range");
+            m.owner = packOwner(owner);
             m.hasOwnerToken = r.b();
             m.hits = r.u8();
         }
@@ -492,6 +519,30 @@ class CacheSet
 
   private:
     static constexpr std::int8_t kVictimUnknown = -1;
+
+    /** WayRecord::owner value meaning "no owner" (kInvalidCore). */
+    static constexpr std::uint8_t kNoOwner = 0xFF;
+    static_assert(kMaxCores < kNoOwner, "core ids must fit the 8-bit owner");
+
+    /** The per-way state a probe never reads (DESIGN.md 5.10). The tag
+     *  and the valid bit live only in tag_ and validMask_. */
+    struct WayRecord
+    {
+        std::uint8_t cls = 0;          //!< BlockClass
+        std::uint8_t owner = kNoOwner; //!< CoreId, kNoOwner for none
+        bool dirty = false;
+        bool hasOwnerToken = false;
+        std::uint8_t hits = 0;         //!< saturating demand hits
+    };
+    static_assert(sizeof(WayRecord) == 5, "the cold record is 5 bytes");
+
+    static std::uint8_t
+    packOwner(CoreId c)
+    {
+        ESP_ASSERT(c == kInvalidCore || c < kMaxCores,
+                   "owner beyond the 8-bit way field");
+        return c == kInvalidCore ? kNoOwner : static_cast<std::uint8_t>(c);
+    }
 
     static std::uint32_t
     clsIndex(BlockClass c)
@@ -572,8 +623,8 @@ class CacheSet
     mutable std::array<std::int8_t, kMatchAny + 1> victim_;
     mutable std::uint64_t victimWays_ = 0; //!< ways some memo points at
 
-    // Cold per-way metadata; addr/valid/cls mirror the hot arrays.
-    std::array<BlockMeta, kMaxWays> meta_{};
+    // Cold per-way records (see WayRecord).
+    std::array<WayRecord, kMaxWays> rec_{};
 };
 
 } // namespace espnuca

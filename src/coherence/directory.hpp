@@ -11,13 +11,16 @@
  * off chip — so conservation holds by construction and the testable
  * invariants are on the holder sets themselves.
  *
- * Storage (DESIGN.md 5.15): one open-addressing table whose slot is
- * sized to the modelled machine when the directory is built — a key
- * word, an 8-byte BlockInfo header, ⌈l1Count/64⌉ L1-holder words and
- * ⌈l2Banks/64⌉ L2-copy words. That is 32 B at the paper's 8 cores /
- * 32 banks and 64 B at the 64-core / 256-bank caps, through one code
- * path. Only this file knows the word layout; callers see BlockInfo
- * accessors and full-width InlineBitset snapshots.
+ * Storage (DESIGN.md 5.15): 64 open-addressing sub-tables, chosen by
+ * the top bits of the block's hash, whose slot is sized to the modelled
+ * machine when the directory is built — a key word, an 8-byte
+ * BlockInfo header, ⌈l1Count/64⌉ L1-holder words and ⌈l2Banks/64⌉
+ * L2-copy words. That is 32 B at the paper's 8 cores / 32 banks and
+ * 64 B at the 64-core / 256-bank caps, through one code path. Each
+ * sub-table grows on its own, so a growth step holds 1/64 of the
+ * directory twice, not all of it. Only this file knows the word
+ * layout; callers see BlockInfo accessors and full-width InlineBitset
+ * snapshots.
  *
  * An entry lives only while its block is on chip or locked by an
  * in-flight transaction: a block whose copies all left the chip starts
@@ -32,6 +35,7 @@
 #define ESPNUCA_COHERENCE_DIRECTORY_HPP_
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -233,25 +237,61 @@ static_assert(kMaxCores * 2 <= 0xFFFF && kMaxL2Banks <= 0xFFFF,
 class Directory
 {
   public:
+    /** Number of sub-tables; the top kSubTableBits hash bits pick one. */
+    static constexpr unsigned kSubTableBits = 6;
+    static constexpr std::size_t kSubTables = std::size_t{1}
+                                              << kSubTableBits;
+    /** Initial (and post-load) capacity of each sub-table, in slots. */
+    static constexpr std::size_t kMinSlots = 16;
+
+    /** Sub-table that holds block a. */
+    static std::size_t
+    subTableOf(Addr a)
+    {
+        return static_cast<std::size_t>(mixHash64(a) >>
+                                        (64 - kSubTableBits));
+    }
+
+    /** Home slot of block a in a sub-table of `slots` slots (a power of
+     *  two): the low hash bits, disjoint from the sub-table bits. */
+    static std::size_t
+    homeSlot(Addr a, std::size_t slots)
+    {
+        return static_cast<std::size_t>(mixHash64(a)) & (slots - 1);
+    }
+
     explicit Directory(const SystemConfig &cfg)
         : cfg_(cfg), l1Words_(wordsFor(cfg.l1Count())),
           l2Words_(wordsFor(cfg.l2Banks)), stride_(2 + l1Words_ + l2Words_)
     {
-        resetTable(kMinSlots);
+        for (SubTable &t : tables_)
+            resetTable(t, kMinSlots);
     }
 
     /** Bytes per table slot: key word, header, holder and copy words. */
     std::size_t slotBytes() const { return stride_ * sizeof(std::uint64_t); }
 
+    /** Capacity of sub-table t in slots (tests). */
+    std::size_t subTableSlots(std::size_t t) const
+    {
+        return tables_[t].mask + 1;
+    }
+
     /** Hint: pull a's home slot into cache ahead of a find/entry known
      * to follow shortly (e.g. the noteAccess of a just-issued access). */
-    void prefetch(Addr a) const { __builtin_prefetch(slotAt(homeOf(a))); }
+    void
+    prefetch(Addr a) const
+    {
+        const SubTable &t = tableOf(a);
+        __builtin_prefetch(slotAt(t, homeSlot(a, t.mask + 1)));
+    }
 
     /** Look up without creating; nullptr when the block is off chip. */
     const BlockInfo *
     find(Addr a) const
     {
-        const std::uint64_t *s = slotAt(probe(a));
+        const SubTable &t = tableOf(a);
+        const std::uint64_t *s = slotAt(t, probe(t, a));
         return s[0] == kInvalidAddr ? nullptr : headerOf(s);
     }
 
@@ -377,14 +417,15 @@ class Directory
     {
         std::size_t kept = 0;
         for (const Addr a : forgettable_) {
-            const std::size_t i = probe(a);
-            const std::uint64_t *s = slotAt(i);
+            SubTable &t = tableOf(a);
+            const std::size_t i = probe(t, a);
+            const std::uint64_t *s = slotAt(t, i);
             if (s[0] != a || headerOf(s)->onChip())
                 continue;
             if (locked(a))
                 forgettable_[kept++] = a;
             else
-                eraseSlot(i);
+                eraseSlot(t, i);
         }
         forgettable_.resize(kept);
     }
@@ -460,17 +501,19 @@ class Directory
      *  forgetOffChip() that found no queued block locked. */
     std::size_t size() const { return size_; }
 
-    /** Visit every tracked block in table order as
-     *  fn(Addr, const BlockInfo &); the order is deterministic for a
-     *  given access history. */
+    /** Visit every tracked block in table order (sub-table by
+     *  sub-table) as fn(Addr, const BlockInfo &); the order is
+     *  deterministic for a given access history. */
     template <typename Fn>
     void
     forEach(Fn &&fn) const
     {
-        for (std::size_t i = 0; i <= mask_; ++i) {
-            const std::uint64_t *s = slotAt(i);
-            if (s[0] != kInvalidAddr)
-                fn(static_cast<Addr>(s[0]), *headerOf(s));
+        for (const SubTable &t : tables_) {
+            for (std::size_t i = 0; i <= t.mask; ++i) {
+                const std::uint64_t *s = slotAt(t, i);
+                if (s[0] != kInvalidAddr)
+                    fn(static_cast<Addr>(s[0]), *headerOf(s));
+            }
         }
     }
 
@@ -508,7 +551,9 @@ class Directory
     void
     load(SnapshotReader &r)
     {
-        resetTable(kMinSlots);
+        for (SubTable &t : tables_)
+            resetTable(t, kMinSlots);
+        size_ = 0;
         forgettable_.clear();
         const std::uint64_t n = r.u64();
         for (std::uint64_t i = 0; i < n; ++i) {
@@ -537,8 +582,16 @@ class Directory
     }
 
   private:
-    /** Initial (and post-load) table capacity in slots. */
-    static constexpr std::size_t kMinSlots = 16;
+    /**
+     * One open-addressing sub-table. Slot i is the stride_ words at
+     * words[i * stride_]; a kInvalidAddr key marks it empty.
+     */
+    struct SubTable
+    {
+        std::vector<std::uint64_t> words;
+        std::size_t mask = 0; //!< slots - 1 (slots is a power of two)
+        std::size_t size = 0; //!< live entries
+    };
 
     static std::uint8_t
     wordsFor(std::uint32_t bits)
@@ -546,14 +599,19 @@ class Directory
         return static_cast<std::uint8_t>((bits + 63) / 64);
     }
 
-    std::size_t homeOf(Addr a) const { return mixHash64(a) & mask_; }
+    const SubTable &tableOf(Addr a) const { return tables_[subTableOf(a)]; }
+    SubTable &tableOf(Addr a) { return tables_[subTableOf(a)]; }
 
     const std::uint64_t *
-    slotAt(std::size_t i) const
+    slotAt(const SubTable &t, std::size_t i) const
     {
-        return &table_[i * stride_];
+        return &t.words[i * stride_];
     }
-    std::uint64_t *slotAt(std::size_t i) { return &table_[i * stride_]; }
+    std::uint64_t *
+    slotAt(SubTable &t, std::size_t i)
+    {
+        return &t.words[i * stride_];
+    }
 
     static const BlockInfo *
     headerOf(const std::uint64_t *s)
@@ -566,17 +624,17 @@ class Directory
         return std::launder(reinterpret_cast<BlockInfo *>(s + 1));
     }
 
-    /** Slot holding a, or the empty slot ending its probe chain (the
-     *  table always has one: the load stays under 5/8). */
+    /** Slot of t holding a, or the empty slot ending its probe chain
+     *  (the sub-table always has one: its load stays under 5/8). */
     std::size_t
-    probe(Addr a) const
+    probe(const SubTable &t, Addr a) const
     {
-        std::size_t i = homeOf(a);
+        std::size_t i = homeSlot(a, t.mask + 1);
         while (true) {
-            const std::uint64_t k = slotAt(i)[0];
+            const std::uint64_t k = slotAt(t, i)[0];
             if (k == a || k == kInvalidAddr)
                 return i;
-            i = (i + 1) & mask_;
+            i = (i + 1) & t.mask;
         }
     }
 
@@ -585,70 +643,75 @@ class Directory
     entry(Addr a)
     {
         ESP_ASSERT(a != kInvalidAddr, "the empty-slot key is not a block");
-        std::uint64_t *s = slotAt(probe(a));
+        SubTable &t = tableOf(a);
+        std::uint64_t *s = slotAt(t, probe(t, a));
         if (s[0] == a)
             return *headerOf(s);
         // Claim the empty slot. Its other words are already zero: the
-        // table is zero-filled when built and eraseSlot re-zeroes.
+        // sub-table is zero-filled when built and eraseSlot re-zeroes.
         s[0] = a;
         new (s + 1) BlockInfo(l1Words_, l2Words_);
+        ++t.size;
         ++size_;
         // Grow past load 5/8: plain linear probing (no tombstones, no
         // robin-hood reordering) keeps clusters short only while the
-        // table stays comfortably under ~2/3 full.
-        if (size_ * 8 > (mask_ + 1) * 5) {
-            rehash((mask_ + 1) * 2);
-            s = slotAt(probe(a));
+        // sub-table stays comfortably under ~2/3 full.
+        if (t.size * 8 > (t.mask + 1) * 5) {
+            rehash(t, (t.mask + 1) * 2);
+            s = slotAt(t, probe(t, a));
         }
         return *headerOf(s);
     }
 
-    /** Empty table of `slots` slots: every key kInvalidAddr, every
-     *  other word zero. */
+    /** Empty t to `slots` slots: every key kInvalidAddr, every other
+     *  word zero. */
     void
-    resetTable(std::size_t slots)
+    resetTable(SubTable &t, std::size_t slots)
     {
-        table_.assign(slots * stride_, 0);
+        t.words.assign(slots * stride_, 0);
+        t.mask = slots - 1;
+        t.size = 0;
         for (std::size_t i = 0; i < slots; ++i)
-            slotAt(i)[0] = kInvalidAddr;
-        mask_ = slots - 1;
-        size_ = 0;
+            slotAt(t, i)[0] = kInvalidAddr;
     }
 
     /** Backward-shift deletion (Knuth 6.4 R, as FlatMap::eraseAt):
-     *  vacate slot i, then slide back every later entry of its cluster
-     *  whose probe chain still reaches the hole. The slot left empty is
-     *  re-zeroed for entry(). */
+     *  vacate slot i of t, then slide back every later entry of its
+     *  cluster whose probe chain still reaches the hole. The slot left
+     *  empty is re-zeroed for entry(). */
     void
-    eraseSlot(std::size_t i)
+    eraseSlot(SubTable &t, std::size_t i)
     {
         std::size_t hole = i;
-        for (std::size_t j = (i + 1) & mask_; slotAt(j)[0] != kInvalidAddr;
-             j = (j + 1) & mask_) {
-            const std::size_t home = homeOf(slotAt(j)[0]);
-            if (((j - home) & mask_) >= ((j - hole) & mask_)) {
-                std::memcpy(slotAt(hole), slotAt(j), slotBytes());
+        for (std::size_t j = (i + 1) & t.mask;
+             slotAt(t, j)[0] != kInvalidAddr; j = (j + 1) & t.mask) {
+            const std::size_t home = homeSlot(slotAt(t, j)[0], t.mask + 1);
+            if (((j - home) & t.mask) >= ((j - hole) & t.mask)) {
+                std::memcpy(slotAt(t, hole), slotAt(t, j), slotBytes());
                 hole = j;
             }
         }
-        std::uint64_t *s = slotAt(hole);
+        std::uint64_t *s = slotAt(t, hole);
         std::fill(s + 1, s + stride_, 0);
         s[0] = kInvalidAddr;
+        --t.size;
         --size_;
     }
 
-    /** Re-place every entry, in old table order, into `slots` slots. */
+    /** Re-place every entry of t, in old slot order, into `slots`
+     *  slots. Only t is briefly held twice. */
     void
-    rehash(std::size_t slots)
+    rehash(SubTable &t, std::size_t slots)
     {
-        const std::vector<std::uint64_t> old = std::move(table_);
-        const std::size_t live = size_;
-        resetTable(slots);
+        const std::vector<std::uint64_t> old = std::move(t.words);
+        const std::size_t live = t.size;
+        resetTable(t, slots);
         for (std::size_t j = 0; j < old.size(); j += stride_) {
             if (old[j] != kInvalidAddr)
-                std::memcpy(slotAt(probe(old[j])), &old[j], slotBytes());
+                std::memcpy(slotAt(t, probe(t, old[j])), &old[j],
+                            slotBytes());
         }
-        size_ = live;
+        t.size = live;
     }
 
     /** Read one zero-extended snapshot mask. */
@@ -680,15 +743,12 @@ class Directory
     std::uint8_t l2Words_; //!< ⌈l2Banks/64⌉
     std::size_t stride_;   //!< words per slot
     /**
-     * Open-addressing table: the directory is probed on every L2 search
-     * step and every fill, so the lookup must be one mixed hash and
-     * (almost always) one cache line rather than a node chase. Slot i
-     * is the stride_ words at table_[i * stride_]; a kInvalidAddr key
-     * marks it empty.
+     * Open-addressing sub-tables: the directory is probed on every L2
+     * search step and every fill, so the lookup must be one mixed hash
+     * and (almost always) one cache line rather than a node chase.
      */
-    std::vector<std::uint64_t> table_;
-    std::size_t mask_ = 0; //!< slots - 1 (slots is a power of two)
-    std::size_t size_ = 0; //!< live entries
+    std::array<SubTable, kSubTables> tables_;
+    std::size_t size_ = 0; //!< live entries over all sub-tables
     /** Blocks whose last copy left since the last forgetOffChip(),
      *  plus the locked ones that pass kept (may repeat). */
     std::vector<Addr> forgettable_;

@@ -61,7 +61,8 @@ class L1Cache
 
     bool has(Addr a) const { return lookup(a) != kNoWay; }
 
-    const BlockMeta &
+    /** Way metadata, by value (CacheSet::way). */
+    BlockMeta
     meta(Addr a, int way) const
     {
         return sets_[setIndex(a)].way(way);
@@ -136,7 +137,7 @@ class L1Cache
     {
         std::uint64_t n = 0;
         for (const auto &s : sets_)
-            n += s.countIf([](const BlockMeta &) { return true; });
+            n += s.countIf(kMatchAny);
         return n;
     }
 

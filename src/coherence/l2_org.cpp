@@ -41,7 +41,7 @@ L2Org::applyInsert(BankId b, std::uint32_t set, const BlockMeta &blk,
     if (e != nullptr && e->hasL2Copy(b)) {
         const auto [eset, eway] = findCopy(b, blk.addr);
         ESP_ASSERT(eway != kNoWay, "directory bit without a bank copy");
-        const BlockMeta &m = banks_[b]->meta(eset, eway);
+        const BlockMeta m = banks_[b]->meta(eset, eway);
         if (blk.dirty && !m.dirty)
             banks_[b]->setDirty(eset, eway, true);
         if (owner_token && !m.hasOwnerToken) {
@@ -98,7 +98,7 @@ L2Org::storeOrRefresh(BankId b, std::uint32_t set, const BlockMeta &blk,
 {
     const int way = banks_[b]->findAny(set, blk.addr);
     if (way != kNoWay) {
-        const BlockMeta &m = banks_[b]->meta(set, way);
+        const BlockMeta m = banks_[b]->meta(set, way);
         if (blk.dirty && !m.dirty)
             banks_[b]->setDirty(set, way, true);
         if (owner_token && !m.hasOwnerToken) {

@@ -116,7 +116,7 @@ struct FaultPlan
                 p.seed = parseNum(val, "seed");
             } else if (key == "bank") {
                 p.deadBanks.push_back(
-                    static_cast<BankId>(parseNum(val, "bank")));
+                    static_cast<BankId>(parseNum(val, "bank", kMaxId)));
             } else if (key == "ways") {
                 p.wayDisables.push_back(parseWays(val));
             } else if (key == "link") {
@@ -127,9 +127,9 @@ struct FaultPlan
                     throw FaultPlanError(
                         "rand wants <banks>:<ways>: " + val);
                 p.randDeadBanks = static_cast<std::uint32_t>(
-                    parseNum(f[0], "rand banks"));
+                    parseNum(f[0], "rand banks", kMaxU32));
                 p.randWaysPerBank = static_cast<std::uint32_t>(
-                    parseNum(f[1], "rand ways"));
+                    parseNum(f[1], "rand ways", kMaxU32));
             } else if (key == "drop-tx") {
                 p.dropTransaction = parseNum(val, "drop-tx");
             } else if (key == "watchdog") {
@@ -343,11 +343,24 @@ struct FaultPlan
         return s.substr(b, e - b);
     }
 
+    /** Largest value of a u32 field. */
+    static constexpr std::uint64_t kMaxU32 = 0xFFFFFFFFu;
+    /** Largest bank or node id: the all-ones u32 is the "none"/"every
+     *  bank" sentinel, so a number may not spell it. */
+    static constexpr std::uint64_t kMaxId = kMaxU32 - 1;
+
+    /** An unsigned decimal, 0x-hex or 0-octal number no larger than
+     *  `max` (the field it is stored in). */
     static std::uint64_t
-    parseNum(const std::string &s, const char *what)
+    parseNum(const std::string &s, const char *what,
+             std::uint64_t max = ~std::uint64_t{0})
     {
         if (s.empty())
             throw FaultPlanError(std::string(what) + ": empty number");
+        // std::stoull would skip leading blanks and negate a '-' sign.
+        if (!std::isdigit(static_cast<unsigned char>(s[0])))
+            throw FaultPlanError(std::string(what) + ": bad number '" +
+                                 s + "'");
         std::size_t used = 0;
         std::uint64_t v = 0;
         try {
@@ -359,6 +372,9 @@ struct FaultPlan
         if (used != s.size())
             throw FaultPlanError(std::string(what) +
                                  ": trailing junk in '" + s + "'");
+        if (v > max)
+            throw FaultPlanError(std::string(what) + ": '" + s +
+                                 "' out of range");
         return v;
     }
 
@@ -391,7 +407,8 @@ struct FaultPlan
         if (f[0] == "*")
             w.bank = kInvalidBank;
         else
-            w.bank = static_cast<BankId>(parseNum(f[0], "ways bank"));
+            w.bank =
+                static_cast<BankId>(parseNum(f[0], "ways bank", kMaxId));
         w.mask = parseNum(f[1], "ways mask");
         if (w.mask == 0)
             throw FaultPlanError("ways mask must be non-zero");
@@ -407,7 +424,7 @@ struct FaultPlan
                 "link wants <node>:<dir>:<from>:<until>:<factor>: " +
                 val);
         LinkFault l;
-        l.node = static_cast<NodeId>(parseNum(f[0], "link node"));
+        l.node = static_cast<NodeId>(parseNum(f[0], "link node", kMaxId));
         if (f[1] == "e")
             l.dir = 0;
         else if (f[1] == "w")
@@ -421,8 +438,8 @@ struct FaultPlan
                                  f[1]);
         l.from = parseNum(f[2], "link from");
         l.until = parseNum(f[3], "link until");
-        l.factor =
-            static_cast<std::uint32_t>(parseNum(f[4], "link factor"));
+        l.factor = static_cast<std::uint32_t>(
+            parseNum(f[4], "link factor", kMaxU32));
         return l;
     }
 };

@@ -1,9 +1,13 @@
 /**
  * @file
- * LRU set mechanics: recency ordering, predicate search, helping count.
+ * LRU set mechanics: recency ordering, predicate search, helping count;
+ * the compact per-way record at its limits and its snapshot record.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstddef>
+#include <string>
 
 #include "cache/cache_set.hpp"
 
@@ -127,6 +131,231 @@ TEST(CacheSet, CountIf)
                   return m.cls == BlockClass::Private;
               }),
               2u);
+}
+
+// -- The compact per-way record --------------------------------------
+
+TEST(CacheSetRecord, SetStaysCompact)
+{
+    // 16 tags + 16 stamps + masks + memo + 16 five-byte records: 440 B.
+    // A new per-way field must not grow the set back unnoticed.
+    EXPECT_LE(sizeof(CacheSet), 448u);
+}
+
+TEST(CacheSetRecord, OwnerLimitsRoundTrip)
+{
+    CacheSet s(4);
+    for (const CoreId owner : {CoreId{0}, kMaxCores - 1, kInvalidCore}) {
+        SCOPED_TRACE(owner);
+        BlockMeta m = makeBlock(0x40, BlockClass::Victim);
+        m.owner = owner;
+        s.assign(0, m);
+        EXPECT_EQ(s.way(0).owner, owner);
+        s.setClass(0, BlockClass::Replica, owner);
+        EXPECT_EQ(s.way(0).owner, owner);
+        s.setClass(0, BlockClass::Shared, kInvalidCore);
+        EXPECT_EQ(s.way(0).owner, kInvalidCore);
+    }
+}
+
+TEST(CacheSetRecord, EveryClassRoundTrips)
+{
+    CacheSet s(4);
+    for (const BlockClass c : {BlockClass::Private, BlockClass::Shared,
+                               BlockClass::Replica, BlockClass::Victim}) {
+        SCOPED_TRACE(static_cast<int>(c));
+        s.assign(1, makeBlock(0x80, c));
+        EXPECT_EQ(s.way(1).cls, c);
+        EXPECT_EQ(s.countIf(classBit(c)), 1u);
+        for (const BlockClass to :
+             {BlockClass::Private, BlockClass::Shared, BlockClass::Replica,
+              BlockClass::Victim}) {
+            s.setClass(1, to, 3);
+            EXPECT_EQ(s.way(1).cls, to);
+            EXPECT_EQ(s.countIf(classBit(to)), 1u);
+            EXPECT_EQ(s.find(0x80, classBit(to)), 1);
+        }
+    }
+}
+
+TEST(CacheSetRecord, HitsSaturateAt255)
+{
+    CacheSet s(2);
+    s.assign(0, makeBlock(0x40));
+    for (int i = 0; i < 300; ++i)
+        s.bumpHits(0);
+    EXPECT_EQ(s.way(0).hits, 255u);
+    BlockMeta m = makeBlock(0x80);
+    m.hits = 255;
+    s.assign(1, m);
+    s.bumpHits(1);
+    EXPECT_EQ(s.way(1).hits, 255u);
+    s.clearWay(1);
+    EXPECT_EQ(s.way(1).hits, 0u);
+}
+
+TEST(CacheSetRecord, DirtyAndTokenBitsThroughEveryMutator)
+{
+    CacheSet s(4);
+    BlockMeta m = makeBlock(0x40, BlockClass::Private);
+    m.owner = 5;
+    m.dirty = true;
+    m.hasOwnerToken = true;
+    s.assign(2, m);
+    BlockMeta got = s.way(2);
+    EXPECT_TRUE(got.valid);
+    EXPECT_EQ(got.addr, 0x40u);
+    EXPECT_TRUE(got.dirty);
+    EXPECT_TRUE(got.hasOwnerToken);
+    // Reclassifying keeps both bits.
+    s.setClass(2, BlockClass::Victim, 5);
+    EXPECT_TRUE(s.way(2).dirty);
+    EXPECT_TRUE(s.way(2).hasOwnerToken);
+    // Each setter moves only its own bit.
+    s.setDirty(2, false);
+    EXPECT_FALSE(s.way(2).dirty);
+    EXPECT_TRUE(s.way(2).hasOwnerToken);
+    s.setOwnerToken(2, false);
+    EXPECT_FALSE(s.way(2).hasOwnerToken);
+    s.setDirty(2, true);
+    EXPECT_TRUE(s.way(2).dirty);
+    EXPECT_FALSE(s.way(2).hasOwnerToken);
+    s.setOwnerToken(2, true);
+    EXPECT_TRUE(s.way(2).hasOwnerToken);
+    // Neighbouring ways are untouched.
+    EXPECT_FALSE(s.way(1).dirty);
+    EXPECT_FALSE(s.way(3).hasOwnerToken);
+    // clearWay resets the whole record.
+    s.clearWay(2);
+    got = s.way(2);
+    EXPECT_FALSE(got.valid);
+    EXPECT_EQ(got.addr, kInvalidAddr);
+    EXPECT_FALSE(got.dirty);
+    EXPECT_FALSE(got.hasOwnerToken);
+    EXPECT_EQ(got.owner, kInvalidCore);
+    EXPECT_EQ(got.cls, BlockClass::Private);
+}
+
+// -- The snapshot record ------------------------------------------------
+
+/** Byte offsets into CacheSet::save()'s record (the v5 layout): a
+ *  68-byte header (ways, valid mask, four class masks, disabled mask,
+ *  hi, lo), then 33 bytes per way. */
+constexpr std::size_t kSetHeaderBytes = 4 + 8 + 4 * 8 + 8 + 8 + 8;
+constexpr std::size_t kWayBytes = 8 + 8 + 8 + 1 + 1 + 1 + 4 + 1 + 1;
+constexpr std::size_t kWayAddr = 16;
+constexpr std::size_t kWayValid = 24;
+constexpr std::size_t kWayOwner = 27;
+
+/** A 4-way set holding a spread of record values. */
+CacheSet
+populatedSet()
+{
+    CacheSet s(4);
+    BlockMeta m = makeBlock(0x40, BlockClass::Victim);
+    m.owner = kMaxCores - 1;
+    m.dirty = true;
+    m.hasOwnerToken = true;
+    m.hits = 255;
+    s.assign(0, m);
+    s.touch(0);
+    m = makeBlock(0x80, BlockClass::Replica);
+    m.owner = 0;
+    s.assign(1, m);
+    s.touch(1);
+    s.assign(3, makeBlock(0xC0, BlockClass::Shared));
+    s.bumpHits(3);
+    s.demote(3);
+    return s;
+}
+
+std::string
+saved(const CacheSet &s)
+{
+    SnapshotWriter w;
+    s.save(w);
+    return w.bytes();
+}
+
+void
+putU32(std::string &bytes, std::size_t at, std::uint32_t v)
+{
+    for (int i = 0; i < 4; ++i)
+        bytes[at + static_cast<std::size_t>(i)] =
+            static_cast<char>((v >> (8 * i)) & 0xFF);
+}
+
+TEST(CacheSetSnapshot, SaveLoadSaveIsByteIdentical)
+{
+    const CacheSet s = populatedSet();
+    const std::string first = saved(s);
+    ASSERT_EQ(first.size(), kSetHeaderBytes + 4 * kWayBytes);
+    CacheSet back(4);
+    SnapshotReader r(first);
+    back.load(r);
+    EXPECT_EQ(saved(back), first);
+    for (int w = 0; w < 4; ++w) {
+        const BlockMeta a = s.way(w);
+        const BlockMeta b = back.way(w);
+        EXPECT_EQ(a.addr, b.addr);
+        EXPECT_EQ(a.valid, b.valid);
+        EXPECT_EQ(a.dirty, b.dirty);
+        EXPECT_EQ(a.cls, b.cls);
+        EXPECT_EQ(a.owner, b.owner);
+        EXPECT_EQ(a.hasOwnerToken, b.hasOwnerToken);
+        EXPECT_EQ(a.hits, b.hits);
+        EXPECT_EQ(s.recencyOf(w), back.recencyOf(w));
+    }
+}
+
+void
+expectLoadRejected(const std::string &bytes)
+{
+    CacheSet s(4);
+    SnapshotReader r(bytes);
+    EXPECT_THROW(s.load(r), SnapshotError);
+}
+
+TEST(CacheSetSnapshot, RejectsWayDisagreeingWithTagOrValidMask)
+{
+    const std::string good = saved(populatedSet());
+    // A stored addr that is not the way's tag (valid way 0).
+    std::string bad = good;
+    bad[kSetHeaderBytes + kWayAddr] ^= 0x01;
+    expectLoadRejected(bad);
+    // An invalid way (2) whose stored addr is a block.
+    bad = good;
+    bad[kSetHeaderBytes + 2 * kWayBytes + kWayAddr] = 0x40;
+    expectLoadRejected(bad);
+    // A valid flag the valid mask does not have, and the reverse.
+    bad = good;
+    bad[kSetHeaderBytes + 2 * kWayBytes + kWayValid] = 1;
+    expectLoadRejected(bad);
+    bad = good;
+    bad[kSetHeaderBytes + kWayValid] = 0;
+    expectLoadRejected(bad);
+}
+
+TEST(CacheSetSnapshot, RejectsOwnerBeyondTheCoreRange)
+{
+    const std::string good = saved(populatedSet());
+    for (const std::uint32_t owner :
+         {std::uint32_t{kMaxCores}, std::uint32_t{0xFF},
+          std::uint32_t{0x100}, kInvalidCore - 1}) {
+        SCOPED_TRACE(owner);
+        std::string bad = good;
+        putU32(bad, kSetHeaderBytes + kWayOwner, owner);
+        expectLoadRejected(bad);
+    }
+    // The limits themselves load.
+    for (const std::uint32_t owner : {0u, kMaxCores - 1, kInvalidCore}) {
+        std::string ok = good;
+        putU32(ok, kSetHeaderBytes + kWayOwner, owner);
+        CacheSet s(4);
+        SnapshotReader r(ok);
+        s.load(r);
+        EXPECT_EQ(s.way(0).owner, owner);
+    }
 }
 
 } // namespace

@@ -241,27 +241,34 @@ TEST_F(DirFixture, BlockBackOnChipIsNotForgotten)
     EXPECT_EQ(dir.find(kA), nullptr);
 }
 
-/** Block addresses whose home slot in a 16-slot table is `home`. */
+/** Block addresses that land in sub-table `sub` with home slot `home`
+ *  while that sub-table has its initial capacity, picked through the
+ *  directory's own placement helpers. */
 std::vector<Addr>
-homedAt(std::size_t home, std::size_t n)
+homedAt(std::size_t sub, std::size_t home, std::size_t n)
 {
     std::vector<Addr> out;
     for (Addr a = 0x40; out.size() < n; a += 0x40)
-        if ((mixHash64(a) & 15) == home)
+        if (Directory::subTableOf(a) == sub &&
+            Directory::homeSlot(a, Directory::kMinSlots) == home)
             out.push_back(a);
     return out;
 }
 
 TEST(DirectoryErase, WrapAroundClusterStaysReachable)
 {
-    // Eight blocks in a fresh 16-slot table (load 1/2, no growth):
-    // five homed at the last slot and three at slot 0, so one cluster
-    // wraps over the table end as 15, 0, 1, ..., 6. Erasing from its
-    // front and middle must slide the wrapped entries back without
-    // orphaning any of them.
-    std::vector<Addr> blocks = homedAt(15, 5);
-    for (const Addr a : homedAt(0, 3))
+    // Eight blocks in one fresh 16-slot sub-table (load 1/2, no
+    // growth): five homed at its last slot and three at slot 0, so one
+    // cluster wraps over the sub-table end as 15, 0, 1, ..., 6. Erasing
+    // from its front and middle must slide the wrapped entries back
+    // without orphaning any of them.
+    ASSERT_EQ(Directory::kMinSlots, 16u);
+    constexpr std::size_t kSub = 9;
+    std::vector<Addr> blocks = homedAt(kSub, 15, 5);
+    for (const Addr a : homedAt(kSub, 0, 3))
         blocks.push_back(a);
+    for (const Addr a : blocks)
+        ASSERT_EQ(Directory::subTableOf(a), kSub);
     for (const std::vector<std::size_t> &erase :
          {std::vector<std::size_t>{0}, {5}, {0, 1, 2}, {4, 6, 7},
           {1, 3, 5, 7}}) {
@@ -272,6 +279,7 @@ TEST(DirectoryErase, WrapAroundClusterStaysReachable)
             dir.noteAccess(blocks[k], static_cast<CoreId>(k));
             dir.addL1(blocks[k], static_cast<L1Id>(k), true);
         }
+        ASSERT_EQ(dir.subTableSlots(kSub), Directory::kMinSlots);
         for (const std::size_t k : erase)
             dir.removeL1(blocks[k], static_cast<L1Id>(k));
         dir.forgetOffChip(kNoLocks);
@@ -298,7 +306,47 @@ TEST(DirectoryErase, WrapAroundClusterStaysReachable)
             EXPECT_EQ(e->firstAccessor(), 7u);
         }
         EXPECT_EQ(dir.size(), blocks.size());
+        EXPECT_EQ(dir.subTableSlots(kSub), Directory::kMinSlots);
     }
+}
+
+TEST(DirectoryGrowth, OneSubTableGrowsAlone)
+{
+    // Push one sub-table well past load 5/8 of its initial capacity
+    // (through several doublings); every other sub-table must keep its
+    // initial capacity, and every entry must stay reachable.
+    constexpr std::size_t kSub = 42;
+    std::vector<Addr> many;
+    for (Addr a = 0x40; many.size() < 12 * Directory::kMinSlots;
+         a += 0x40)
+        if (Directory::subTableOf(a) == kSub)
+            many.push_back(a);
+    SystemConfig cfg;
+    Directory dir(cfg);
+    for (std::size_t k = 0; k < many.size(); ++k) {
+        dir.noteAccess(many[k], static_cast<CoreId>(k % cfg.numCores));
+        dir.addL2(many[k], static_cast<BankId>(k % cfg.l2Banks), true);
+    }
+    // 192 entries keep a sub-table under 5/8 only from 512 slots up.
+    EXPECT_EQ(dir.subTableSlots(kSub), 32 * Directory::kMinSlots);
+    for (std::size_t t = 0; t < Directory::kSubTables; ++t) {
+        if (t == kSub)
+            continue;
+        EXPECT_EQ(dir.subTableSlots(t), Directory::kMinSlots) << t;
+    }
+    for (std::size_t k = 0; k < many.size(); ++k) {
+        const BlockInfo *e = dir.find(many[k]);
+        ASSERT_NE(e, nullptr) << k;
+        EXPECT_TRUE(e->hasL2Copy(static_cast<BankId>(k % cfg.l2Banks)));
+        EXPECT_EQ(e->firstAccessor(), k % cfg.numCores);
+    }
+    // forEach visits each entry exactly once, and size() is that count.
+    std::map<Addr, int> seen;
+    dir.forEach([&](Addr a, const BlockInfo &) { ++seen[a]; });
+    EXPECT_EQ(seen.size(), many.size());
+    EXPECT_EQ(dir.size(), seen.size());
+    for (const Addr a : many)
+        EXPECT_EQ(seen[a], 1) << a;
 }
 
 SystemConfig

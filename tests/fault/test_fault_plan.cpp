@@ -66,6 +66,29 @@ TEST(FaultPlan, RejectsMalformedInput)
     EXPECT_THROW(FaultPlan::parse("link=1:x:0:10:2"), FaultPlanError);
     EXPECT_THROW(FaultPlan::parse("link=1:e:0:10"), FaultPlanError);
     EXPECT_THROW(FaultPlan::parse("watchdog=1:2:3"), FaultPlanError);
+    // Numbers are unsigned and must fit their field: no sign, and no
+    // silent truncation of a u32 id, count or factor.
+    EXPECT_THROW(FaultPlan::parse("bank=-1"), FaultPlanError);
+    EXPECT_THROW(FaultPlan::parse("bank=+1"), FaultPlanError);
+    EXPECT_THROW(FaultPlan::parse("seed=-5"), FaultPlanError);
+    EXPECT_THROW(FaultPlan::parse("bank=4294967296"), FaultPlanError);
+    EXPECT_THROW(FaultPlan::parse("ways=4294967295:0x3"), FaultPlanError);
+    EXPECT_THROW(FaultPlan::parse("link=4294967295:e:0:10:2"),
+                 FaultPlanError);
+    EXPECT_THROW(FaultPlan::parse("link=1:e:0:10:0x100000001"),
+                 FaultPlanError);
+    EXPECT_THROW(FaultPlan::parse("rand=4294967297:0"), FaultPlanError);
+    EXPECT_THROW(FaultPlan::parse("seed=18446744073709551616"),
+                 FaultPlanError);
+    // The largest values that fit still parse.
+    EXPECT_EQ(FaultPlan::parse("ways=4294967294:0x3").wayDisables[0].bank,
+              4294967294u);
+    EXPECT_EQ(FaultPlan::parse("link=1:e:0:10:0xffffffff")
+                  .linkFaults[0]
+                  .factor,
+              0xffffffffu);
+    EXPECT_EQ(FaultPlan::parse("seed=18446744073709551615").seed,
+              ~std::uint64_t{0});
 }
 
 TEST(FaultPlan, ValidateChecksGeometry)

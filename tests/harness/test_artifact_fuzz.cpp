@@ -2,8 +2,9 @@
  * @file
  * Seeded mutation fuzzing of the harness's one JSON reader and of every
  * artifact format read through it: point records, run-ledger lines,
- * heartbeats, quarantine lists, and raw jsonParse; and of the binary
- * snapshot loader, fed a real esp-nuca checkpoint. Each case takes a
+ * heartbeats, quarantine lists, and raw jsonParse; of the FaultPlan
+ * grammar; and of the binary snapshot loader, fed a real esp-nuca
+ * checkpoint. Each case takes a
  * valid serialized record and applies a fixed, seeded number of byte
  * mutations (flip, truncate, insert, delete, duplicate). The CRC-framed
  * formats are also fuzzed with a mutated body under a recomputed
@@ -11,8 +12,8 @@
  * the checksum.
  *
  * Every call must return (accepting or rejecting) or throw a typed
- * PointFileError (SnapshotError for the snapshot loader): no crash, no
- * hang, no other exception. The suite is deterministic and carries a
+ * PointFileError (FaultPlanError for fault plans, SnapshotError for the
+ * snapshot loader): no crash, no hang, no other exception. The suite is deterministic and carries a
  * ctest TIMEOUT; sanitizer builds run it with the rest of ctest.
  */
 
@@ -30,6 +31,7 @@
 
 #include "common/crc32c.hpp"
 #include "common/rng.hpp"
+#include "fault/fault_plan.hpp"
 #include "harness/sweep.hpp"
 #include "harness/system.hpp"
 
@@ -319,6 +321,40 @@ TEST(ArtifactFuzz, QuarantineList)
     EXPECT_GT(t.accepted, 0u);
     EXPECT_GT(t.rejected, 0u);
     std::filesystem::remove_all(dir);
+}
+
+TEST(ArtifactFuzz, FaultPlan)
+{
+    // An accepted mutant must also print back to text that parses to
+    // itself, and, when it validates against the default machine,
+    // resolve without throwing.
+    const SystemConfig cfg;
+    const auto read = [&](const std::string &text) {
+        FaultPlan p;
+        try {
+            p = FaultPlan::parse(text);
+        } catch (const FaultPlanError &) {
+            return false;
+        }
+        const std::string canon = p.toString();
+        EXPECT_EQ(FaultPlan::parse(canon).toString(), canon) << text;
+        try {
+            p.validate(cfg);
+        } catch (const FaultPlanError &) {
+            return true; // parsed, but not for this machine
+        }
+        EXPECT_EQ(p.bankRemap(cfg).size(), cfg.l2Banks) << text;
+        EXPECT_EQ(p.resolveWayMasks(cfg).size(), cfg.l2Banks) << text;
+        return true;
+    };
+    // The CI acceptance plan, then the CI induced-stall plan.
+    const Tally acceptance =
+        fuzz("seed=5;bank=6;ways=*:0x3;link=1:e:0:50000:4", 10, asIs, read);
+    EXPECT_GT(acceptance.accepted, 0u);
+    EXPECT_GT(acceptance.rejected, 0u);
+    const Tally stall = fuzz("drop-tx=40;watchdog=20000", 11, asIs, read);
+    EXPECT_GT(stall.accepted, 0u);
+    EXPECT_GT(stall.rejected, 0u);
 }
 
 /** Append the CRC32C trailer a snapshot file carries. */

@@ -47,12 +47,13 @@
 #                "warm_restore": { "cold_seconds", "warm_seconds",
 #                                  "speedup" } },
 #     "loc": { "src_tools_lines" },
-#     "directory": { ... } }
+#     "directory": { ... },
+#     "memory": { ... } }
 #
 # "loc" counts the .hpp/.cpp lines under src/ and tools/. "directory"
-# is a hand-recorded before/after peak-RSS measurement (see
-# DESIGN.md 5.15); the script carries it over from the previous
-# document unchanged.
+# and "memory" are hand-recorded before/after peak-RSS measurements
+# (see DESIGN.md 5.15 and 5.10); the script carries them over from the
+# previous document unchanged.
 #
 # Environment: ESPNUCA_OPS / ESPNUCA_RUNS / ESPNUCA_JOBS thread through
 # to fig07 as in every figure bench.
@@ -268,8 +269,9 @@ report["loc"] = {"src_tools_lines": int(loc)}
 if os.path.exists(prev_path):
     with open(prev_path) as f:
         prev = json.load(f)
-    if "directory" in prev:
-        report["directory"] = prev["directory"]
+    for key in ("directory", "memory"):
+        if key in prev:
+            report[key] = prev[key]
 
 speedup = report["sweep"]["warm_restore"]["speedup"]
 if speedup < 2.0:

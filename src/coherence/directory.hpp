@@ -14,8 +14,9 @@
  * Storage (DESIGN.md 5.15): 64 open-addressing sub-tables, chosen by
  * the top bits of the block's hash, whose slot is sized to the modelled
  * machine when the directory is built — a key word, an 8-byte
- * BlockInfo header, ⌈l1Count/64⌉ L1-holder words and ⌈l2Banks/64⌉
- * L2-copy words. That is 32 B at the paper's 8 cores / 32 banks and
+ * BlockInfo header and ⌈(l1Count + l2Banks)/64⌉ holder words: one bit
+ * range with the L1 holder bits first and L2 bank b at bit
+ * l1Count + b. That is 24 B at the paper's 8 cores / 32 banks and
  * 64 B at the 64-core / 256-bank caps, through one code path. Each
  * sub-table grows on its own, so a growth step holds 1/64 of the
  * directory twice, not all of it. Only this file knows the word
@@ -62,10 +63,11 @@ using L2CopyMask = InlineBitset<kMaxL2Banks>;
 
 /**
  * Directory entry for one block: the 8-byte header of a directory
- * slot. The holder bits live in the same slot right behind it — the L1
- * holder words, then the L2 copy words, as many as the machine needs —
- * so an entry only exists inside its Directory and is handed out by
- * pointer. Only the Directory can create, copy or mutate one.
+ * slot. The holder bits live in the same slot right behind it — one
+ * packed range, the L1 holder bits then the L2 copy bits, in as many
+ * words as the machine needs — so an entry only exists inside its
+ * Directory and is handed out by pointer. Only the Directory can
+ * create, copy or mutate one.
  */
 class BlockInfo
 {
@@ -84,32 +86,20 @@ class BlockInfo
                                              : firstAccessor_;
     }
 
-    /** True when any L1 or L2 bank holds the block (the L1 and L2
-     *  words are contiguous, so this is one scan). */
-    bool onChip() const { return anyWord(l1Bits(), l1Words_ + l2Words_); }
-    bool anyL1Holder() const { return anyWord(l1Bits(), l1Words_); }
-    bool anyL2Copy() const { return anyWord(l2Bits(), l2Words_); }
+    /** True when any L1 or L2 bank holds the block (one scan of the
+     *  whole holder range). */
+    bool onChip() const { return countIn(0, endBit()) != 0; }
+    bool anyL1Holder() const { return countIn(0, l1Count_) != 0; }
+    bool anyL2Copy() const { return countIn(l1Count_, endBit()) != 0; }
 
-    bool
-    hasL1Holder(L1Id id) const
-    {
-        return testBit(l1Bits(), l1Words_, id);
-    }
-    bool
-    hasL2Copy(BankId b) const
-    {
-        return testBit(l2Bits(), l2Words_, b);
-    }
+    bool hasL1Holder(L1Id id) const { return testBit(l1Bit(id)); }
+    bool hasL2Copy(BankId b) const { return testBit(l2Bit(b)); }
 
-    std::uint32_t
-    numL1Holders() const
-    {
-        return countBits(l1Bits(), l1Words_);
-    }
+    std::uint32_t numL1Holders() const { return countIn(0, l1Count_); }
     std::uint32_t
     numL2Copies() const
     {
-        return countBits(l2Bits(), l2Words_);
+        return countIn(l1Count_, endBit());
     }
 
     /** Full-width copy of the L1 holder set (zero beyond the machine):
@@ -117,13 +107,13 @@ class BlockInfo
     L1HolderMask
     l1Holders() const
     {
-        return widen<L1HolderMask>(l1Bits(), l1Words_);
+        return extract<L1HolderMask>(0, l1Count_);
     }
     /** Full-width copy of the L2 copy set. */
     L2CopyMask
     l2Copies() const
     {
-        return widen<L2CopyMask>(l2Bits(), l2Words_);
+        return extract<L2CopyMask>(l1Count_, endBit());
     }
 
   private:
@@ -132,30 +122,46 @@ class BlockInfo
     /** firstAccessor_ value meaning "none yet" (kInvalidCore). */
     static constexpr std::uint16_t kNoAccessor = 0xFFFF;
 
-    BlockInfo(std::uint8_t l1_words, std::uint8_t l2_words)
-        : l1Words_(l1_words), l2Words_(l2_words)
+    BlockInfo(std::uint8_t l1_count, std::uint8_t words)
+        : l1Count_(l1_count), words_(words)
     {
     }
     BlockInfo(const BlockInfo &) = default;
     BlockInfo &operator=(const BlockInfo &) = default;
 
     const std::uint64_t *
-    l1Bits() const
+    bits() const
     {
         return reinterpret_cast<const std::uint64_t *>(this + 1);
     }
     std::uint64_t *
-    l1Bits()
+    bits()
     {
         return reinterpret_cast<std::uint64_t *>(this + 1);
     }
-    const std::uint64_t *l2Bits() const { return l1Bits() + l1Words_; }
-    std::uint64_t *l2Bits() { return l1Bits() + l1Words_; }
 
-    void setL1(L1Id id) { setBit(l1Bits(), l1Words_, id, true); }
-    void clearL1(L1Id id) { setBit(l1Bits(), l1Words_, id, false); }
-    void setL2(BankId b) { setBit(l2Bits(), l2Words_, b, true); }
-    void clearL2(BankId b) { setBit(l2Bits(), l2Words_, b, false); }
+    /** One past the last bit of the holder range. Bits past
+     *  l1Count + l2Banks are never set, so a scan may run to here. */
+    std::uint32_t endBit() const { return words_ * 64u; }
+
+    /** Range bit of L1 `id` / bank `b`. */
+    std::uint32_t
+    l1Bit(L1Id id) const
+    {
+        ESP_ASSERT(id < l1Count_, "L1 id beyond the machine");
+        return id;
+    }
+    std::uint32_t
+    l2Bit(BankId b) const
+    {
+        ESP_ASSERT(l1Count_ + b < endBit(), "bank beyond the directory slot");
+        return l1Count_ + b;
+    }
+
+    void setL1(L1Id id) { setBit(l1Bit(id), true); }
+    void clearL1(L1Id id) { setBit(l1Bit(id), false); }
+    void setL2(BankId b) { setBit(l2Bit(b), true); }
+    void clearL2(BankId b) { setBit(l2Bit(b), false); }
 
     void
     setOwner(OwnerKind kind, std::uint32_t index)
@@ -174,59 +180,77 @@ class BlockInfo
                                            : static_cast<std::uint16_t>(c);
     }
 
-    static bool
-    anyWord(const std::uint64_t *w, std::uint32_t n)
+    bool
+    testBit(std::uint32_t i) const
     {
-        for (std::uint32_t k = 0; k < n; ++k)
-            if (w[k] != 0)
-                return true;
-        return false;
+        return (bits()[i / 64] >> (i % 64)) & 1u;
     }
 
-    static bool
-    testBit(const std::uint64_t *w, std::uint32_t n, std::uint32_t i)
+    void
+    setBit(std::uint32_t i, bool on)
     {
-        ESP_ASSERT(i < n * 64, "bit index beyond the directory slot");
-        return (w[i / 64] >> (i % 64)) & 1u;
-    }
-
-    static void
-    setBit(std::uint64_t *w, std::uint32_t n, std::uint32_t i, bool on)
-    {
-        ESP_ASSERT(i < n * 64, "bit index beyond the directory slot");
+        std::uint64_t &w = bits()[i / 64];
         const std::uint64_t bit = std::uint64_t{1} << (i % 64);
-        w[i / 64] = on ? (w[i / 64] | bit) : (w[i / 64] & ~bit);
+        w = on ? (w | bit) : (w & ~bit);
     }
 
-    static std::uint32_t
-    countBits(const std::uint64_t *w, std::uint32_t n)
+    /** Word k of the holder range with only bits [lo, hi) kept; k must
+     *  overlap the span. */
+    std::uint64_t
+    wordIn(std::uint32_t k, std::uint32_t lo, std::uint32_t hi) const
+    {
+        const std::uint32_t base = k * 64;
+        std::uint64_t w = bits()[k];
+        if (lo > base)
+            w &= ~std::uint64_t{0} << (lo - base);
+        if (hi < base + 64)
+            w &= (std::uint64_t{1} << (hi - base)) - 1;
+        return w;
+    }
+
+    std::uint32_t
+    countIn(std::uint32_t lo, std::uint32_t hi) const
     {
         std::uint32_t c = 0;
-        for (std::uint32_t k = 0; k < n; ++k)
-            c += static_cast<std::uint32_t>(__builtin_popcountll(w[k]));
+        for (std::uint32_t k = lo / 64; k * 64 < hi; ++k)
+            c += static_cast<std::uint32_t>(
+                __builtin_popcountll(wordIn(k, lo, hi)));
         return c;
     }
 
+    /** Bits [lo, hi) shifted down to bit 0 of a full-width mask. */
     template <typename Mask>
-    static Mask
-    widen(const std::uint64_t *w, std::uint32_t n)
+    Mask
+    extract(std::uint32_t lo, std::uint32_t hi) const
     {
         Mask m;
-        for (std::uint32_t k = 0; k < n; ++k)
-            m.setWord(k, w[k]);
+        for (std::uint32_t j = 0; j < Mask::kWords && lo + j * 64 < hi;
+             ++j) {
+            const std::uint32_t pos = lo + j * 64;
+            const std::uint32_t k = pos / 64;
+            const std::uint32_t sh = pos % 64;
+            std::uint64_t v = bits()[k] >> sh;
+            if (sh != 0 && k + 1 < words_)
+                v |= bits()[k + 1] << (64 - sh);
+            if (hi - pos < 64)
+                v &= (std::uint64_t{1} << (hi - pos)) - 1;
+            m.setWord(j, v);
+        }
         return m;
     }
 
     OwnerKind ownerKind_ = OwnerKind::Memory;
     bool sharedStatus_ = false;
-    std::uint8_t l1Words_; //!< L1 holder words behind the header
-    std::uint8_t l2Words_; //!< L2 copy words behind the L1 words
+    std::uint8_t l1Count_; //!< L1 holder bits; L2 bank b is bit l1Count_+b
+    std::uint8_t words_;   //!< holder words behind the header
     std::uint16_t ownerIndex_ = 0;
     std::uint16_t firstAccessor_ = kNoAccessor;
 };
 
 static_assert(sizeof(BlockInfo) == sizeof(std::uint64_t),
               "the entry header is one slot word");
+static_assert(kMaxCores * 2 <= 0xFF,
+              "the L1 count must fit its 8-bit header field");
 static_assert(kMaxCores * 2 <= 0xFFFF && kMaxL2Banks <= 0xFFFF,
               "owner and core ids must fit the 16-bit header fields");
 
@@ -261,14 +285,16 @@ class Directory
     }
 
     explicit Directory(const SystemConfig &cfg)
-        : cfg_(cfg), l1Words_(wordsFor(cfg.l1Count())),
-          l2Words_(wordsFor(cfg.l2Banks)), stride_(2 + l1Words_ + l2Words_)
+        : cfg_(cfg), l1Count_(static_cast<std::uint8_t>(cfg.l1Count())),
+          words_(static_cast<std::uint8_t>(
+              (cfg.l1Count() + cfg.l2Banks + 63) / 64)),
+          stride_(2 + words_)
     {
         for (SubTable &t : tables_)
             resetTable(t, kMinSlots);
     }
 
-    /** Bytes per table slot: key word, header, holder and copy words. */
+    /** Bytes per table slot: key word, header and holder words. */
     std::size_t slotBytes() const { return stride_ * sizeof(std::uint64_t); }
 
     /** Capacity of sub-table t in slots (tests). */
@@ -522,10 +548,10 @@ class Directory
     /**
      * Every entry is serialized. Holder masks are written zero-extended
      * to the 64-core/256-bank caps, so the record does not depend on
-     * the slot width. A drained System has forgotten its off-chip
-     * entries before it saves; load() drops any off-chip record all
-     * the same, since a snapshot holds no lock and such a record holds
-     * nothing a later access reads. Bucket layout is not preserved
+     * the slot width or the packing. A drained System has forgotten its
+     * off-chip entries before it saves; load() drops any off-chip
+     * record all the same, since a snapshot holds no lock and such a
+     * record holds nothing a later access reads. Bucket layout is not preserved
      * (lookups are exact-key; nothing iterates the table during
      * simulation).
      */
@@ -572,9 +598,12 @@ class Directory
                 continue; // off chip: nothing a later access reads
             if (a == kInvalidAddr)
                 throw SnapshotError("directory record with the empty key");
+            // A bit past the machine would alias the next range's bits.
+            checkWidth(l1, cfg_.l1Count());
+            checkWidth(l2, cfg_.l2Banks);
             BlockInfo &e = entry(a);
-            storeWords(l1, e.l1Bits(), e.l1Words_);
-            storeWords(l2, e.l2Bits(), e.l2Words_);
+            l1.forEachSet([&](std::uint32_t id) { e.setL1(id); });
+            l2.forEachSet([&](std::uint32_t b) { e.setL2(b); });
             e.setOwner(kind, index);
             e.sharedStatus_ = shared;
             e.setFirstAccessor(first);
@@ -592,12 +621,6 @@ class Directory
         std::size_t mask = 0; //!< slots - 1 (slots is a power of two)
         std::size_t size = 0; //!< live entries
     };
-
-    static std::uint8_t
-    wordsFor(std::uint32_t bits)
-    {
-        return static_cast<std::uint8_t>((bits + 63) / 64);
-    }
 
     const SubTable &tableOf(Addr a) const { return tables_[subTableOf(a)]; }
     SubTable &tableOf(Addr a) { return tables_[subTableOf(a)]; }
@@ -650,7 +673,7 @@ class Directory
         // Claim the empty slot. Its other words are already zero: the
         // sub-table is zero-filled when built and eraseSlot re-zeroes.
         s[0] = a;
-        new (s + 1) BlockInfo(l1Words_, l2Words_);
+        new (s + 1) BlockInfo(l1Count_, words_);
         ++t.size;
         ++size_;
         // Grow past load 5/8: plain linear probing (no tombstones, no
@@ -725,22 +748,20 @@ class Directory
         return m;
     }
 
-    /** Store a snapshot mask into an entry's `n` slot words. */
+    /** Reject a snapshot mask with a bit at or past `limit`. */
     template <typename Mask>
     static void
-    storeWords(const Mask &m, std::uint64_t *w, std::uint32_t n)
+    checkWidth(const Mask &m, std::uint32_t limit)
     {
-        for (std::uint32_t k = 0; k < Mask::kWords; ++k) {
-            if (k < n)
-                w[k] = m.word(k);
-            else if (m.word(k) != 0)
+        m.forEachSet([&](std::uint32_t i) {
+            if (i >= limit)
                 throw SnapshotError("directory entry wider than the machine");
-        }
+        });
     }
 
     SystemConfig cfg_;
-    std::uint8_t l1Words_; //!< ⌈l1Count/64⌉
-    std::uint8_t l2Words_; //!< ⌈l2Banks/64⌉
+    std::uint8_t l1Count_; //!< L1 holder bits at the front of the range
+    std::uint8_t words_;   //!< ⌈(l1Count + l2Banks)/64⌉ holder words
     std::size_t stride_;   //!< words per slot
     /**
      * Open-addressing sub-tables: the directory is probed on every L2

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "cache/cache_set.hpp"
 
@@ -137,9 +141,97 @@ TEST(CacheSet, CountIf)
 
 TEST(CacheSetRecord, SetStaysCompact)
 {
-    // 16 tags + 16 stamps + masks + memo + 16 five-byte records: 440 B.
-    // A new per-way field must not grow the set back unnoticed.
-    EXPECT_LE(sizeof(CacheSet), 448u);
+    // 16 tags + u32 masks + 16 one-byte ranks + 16 five-byte records:
+    // 256 B. A new per-way field must not grow the set back unnoticed.
+    EXPECT_LE(sizeof(CacheSet), 256u);
+}
+
+// -- Recency ranks --------------------------------------------------------
+
+/** True when the set's ranks are exactly 0..ways-1. */
+bool
+ranksArePermutation(const CacheSet &s)
+{
+    std::vector<std::uint32_t> r;
+    for (std::uint32_t w = 0; w < s.numWays(); ++w)
+        r.push_back(s.recencyOf(static_cast<int>(w)));
+    std::sort(r.begin(), r.end());
+    for (std::uint32_t i = 0; i < r.size(); ++i)
+        if (r[i] != i)
+            return false;
+    return true;
+}
+
+TEST(CacheSetRanks, RandomUpdatesKeepAPermutation)
+{
+    struct Plan
+    {
+        std::uint32_t ways;
+        std::uint64_t disabled;
+    };
+    for (const Plan p : {Plan{16, 0}, Plan{16, 0x3}, Plan{16, 0x8421},
+                         Plan{4, 0}, Plan{8, 0x81}, Plan{1, 0}}) {
+        SCOPED_TRACE(testing::Message() << p.ways << " ways, disabled 0x"
+                                        << std::hex << p.disabled);
+        CacheSet s(p.ways);
+        s.disableWays(p.disabled);
+        ASSERT_TRUE(ranksArePermutation(s));
+        std::mt19937 rng(p.ways * 131 + static_cast<unsigned>(p.disabled));
+        for (int n = 0; n < 3000; ++n) {
+            const int w = static_cast<int>(rng() % p.ways);
+            const std::uint32_t before = s.recencyOf(w);
+            switch (rng() % 4) {
+            case 0:
+                s.touch(w);
+                EXPECT_EQ(s.recencyOf(w), 0u);
+                break;
+            case 1:
+                s.demote(w);
+                EXPECT_EQ(s.recencyOf(w), p.ways - 1);
+                break;
+            case 2:
+                if (!s.wayDisabled(w)) {
+                    s.assign(w, makeBlock(0x40 * (rng() % 32 + 1),
+                                          static_cast<BlockClass>(rng() % 4)));
+                    EXPECT_EQ(s.recencyOf(w), before); // assign keeps rank
+                }
+                break;
+            default:
+                s.clearWay(w);
+                EXPECT_EQ(s.recencyOf(w), before);
+                break;
+            }
+            ASSERT_TRUE(ranksArePermutation(s)) << "op " << n;
+        }
+    }
+}
+
+TEST(CacheSetRanks, VictimIsTheHighestRankedCandidate)
+{
+    CacheSet s(4);
+    for (int w = 0; w < 4; ++w)
+        s.assign(w, makeBlock(0x40 * (w + 1),
+                              w % 2 ? BlockClass::Victim
+                                    : BlockClass::Private));
+    // Fresh order: way 0 MRU .. way 3 LRU.
+    EXPECT_EQ(s.lruWay(), 3);
+    EXPECT_EQ(s.lruAmong(kMatchPrivate), 2);
+    s.touch(3);
+    s.touch(2);
+    // Order now 2, 3, 0, 1.
+    EXPECT_EQ(s.recencyOf(2), 0u);
+    EXPECT_EQ(s.recencyOf(3), 1u);
+    EXPECT_EQ(s.recencyOf(0), 2u);
+    EXPECT_EQ(s.recencyOf(1), 3u);
+    EXPECT_EQ(s.lruWay(), 1);
+    EXPECT_EQ(s.lruAmong(kMatchPrivate), 0);
+    EXPECT_EQ(s.lruAmong(kMatchVictim), 1);
+    s.demote(2);
+    // Order now 3, 0, 1, 2.
+    EXPECT_EQ(s.recencyOf(1), 2u);
+    EXPECT_EQ(s.lruWay(), 2);
+    EXPECT_EQ(s.lruAmong(kMatchVictim), 1);
+    EXPECT_EQ(s.lruAmong(static_cast<ClassMask>(0)), kNoWay);
 }
 
 TEST(CacheSetRecord, OwnerLimitsRoundTrip)
@@ -306,6 +398,80 @@ TEST(CacheSetSnapshot, SaveLoadSaveIsByteIdentical)
         EXPECT_EQ(a.hits, b.hits);
         EXPECT_EQ(s.recencyOf(w), back.recencyOf(w));
     }
+}
+
+/** Write a v5 record for a 4-way set the way a stamp-keeping writer
+ *  would: sparse, arbitrary stamps and its own hi/lo brackets. */
+std::string
+stampRecord(const std::int64_t (&stamps)[4], std::uint64_t valid_mask)
+{
+    SnapshotWriter w;
+    w.u32(4);
+    w.u64(valid_mask);
+    w.u64(valid_mask); // every valid way Private
+    w.u64(0);
+    w.u64(0);
+    w.u64(0);
+    w.u64(0); // disabled
+    w.i64(9000);
+    w.i64(-500);
+    for (std::uint32_t i = 0; i < 4; ++i) {
+        const bool valid = (valid_mask >> i) & 1u;
+        const Addr a = valid ? 0x40 * (i + 1) : kInvalidAddr;
+        w.u64(a);
+        w.i64(stamps[i]);
+        w.u64(a);
+        w.b(valid);
+        w.b(false);
+        w.u8(0);
+        w.u32(kInvalidCore);
+        w.b(false);
+        w.u8(0);
+    }
+    return w.bytes();
+}
+
+TEST(CacheSetSnapshot, SparseStampsLoadAsTheirOrder)
+{
+    const std::int64_t stamps[4] = {-7, 103, 12, 55};
+    const std::string rec = stampRecord(stamps, 0xF);
+    CacheSet s(4);
+    SnapshotReader r(rec);
+    s.load(r);
+    r.finish();
+    EXPECT_EQ(s.recencyOf(1), 0u);
+    EXPECT_EQ(s.recencyOf(3), 1u);
+    EXPECT_EQ(s.recencyOf(2), 2u);
+    EXPECT_EQ(s.recencyOf(0), 3u);
+    EXPECT_EQ(s.lruWay(), 0);
+    // Written back as canonical stamps, which load to the same order
+    // and then save to the same bytes.
+    const std::string canon = saved(s);
+    CacheSet back(4);
+    SnapshotReader r2(canon);
+    back.load(r2);
+    for (int w = 0; w < 4; ++w)
+        EXPECT_EQ(back.recencyOf(w), s.recencyOf(w));
+    EXPECT_EQ(saved(back), canon);
+}
+
+TEST(CacheSetSnapshot, RejectsRepeatedStamps)
+{
+    const std::int64_t stamps[4] = {4, 9, 2, 9};
+    const std::string rec = stampRecord(stamps, 0x5);
+    CacheSet s(4);
+    SnapshotReader r(rec);
+    EXPECT_THROW(s.load(r), SnapshotError);
+}
+
+TEST(CacheSetSnapshot, RejectsMaskBitsBeyondTheWays)
+{
+    const std::int64_t stamps[4] = {4, 3, 2, 1};
+    // A valid bit at way 4 of a 4-way set.
+    const std::string rec = stampRecord(stamps, 0x1F);
+    CacheSet s(4);
+    SnapshotReader r(rec);
+    EXPECT_THROW(s.load(r), SnapshotError);
 }
 
 void

@@ -360,10 +360,67 @@ machine(std::uint32_t cores, std::uint32_t banks)
 
 TEST(DirectoryLayout, SlotSizedToTheMachine)
 {
-    // Key word + header word + one L1 word + one bank word.
-    EXPECT_EQ(Directory(machine(8, 32)).slotBytes(), 32u);
-    // 128 L1s need two words, 256 banks four.
+    // Key word + header word + one word for 16 L1 + 32 bank bits.
+    EXPECT_EQ(Directory(machine(8, 32)).slotBytes(), 24u);
+    // 128 L1 + 256 bank bits fill six words.
     EXPECT_EQ(Directory(machine(64, 256)).slotBytes(), 64u);
+    // 32 L1 + 64 bank bits need two.
+    EXPECT_EQ(Directory(machine(16, 64)).slotBytes(), 32u);
+}
+
+TEST(DirectoryLayout, BankBitsStraddlingAWordBoundary)
+{
+    // 16 cores / 128 banks: L1 bits 0..31, bank b at bit 32 + b, so
+    // banks 31|32 sit on either side of bit 64 and banks 95|96 on
+    // either side of bit 128.
+    const SystemConfig cfg = machine(16, 128);
+    Directory dir(cfg);
+    EXPECT_EQ(dir.slotBytes(), 8u * (2 + 3));
+    const std::vector<std::vector<BankId>> cases = {
+        {31}, {32}, {31, 32}, {95}, {96}, {95, 96}, {0, 127},
+        {31, 32, 63, 64, 95, 96, 127}};
+    const std::vector<std::vector<L1Id>> l1s = {{}, {31}, {0, 31}};
+    Addr a = 0x400000;
+    for (const auto &banks : cases) {
+        for (const auto &ids : l1s) {
+            a += 64;
+            dir.noteAccess(a, 0);
+            for (const L1Id id : ids)
+                dir.addL1(a, id, false);
+            for (const BankId b : banks)
+                dir.addL2(a, b, false);
+            const BlockInfo *e = dir.find(a);
+            ASSERT_NE(e, nullptr);
+            const std::set<BankId> ref(banks.begin(), banks.end());
+            L2CopyMask l2;
+            for (const BankId b : ref)
+                l2.set(b);
+            L1HolderMask l1;
+            for (const L1Id id : ids)
+                l1.set(id);
+            for (BankId b = 0; b < cfg.l2Banks; ++b)
+                EXPECT_EQ(e->hasL2Copy(b), ref.count(b) != 0) << b;
+            for (L1Id id = 0; id < cfg.l1Count(); ++id)
+                EXPECT_EQ(e->hasL1Holder(id),
+                          std::count(ids.begin(), ids.end(), id) != 0);
+            EXPECT_TRUE(e->anyL2Copy());
+            EXPECT_EQ(e->numL2Copies(), ref.size());
+            EXPECT_TRUE(e->l2Copies() == l2);
+            EXPECT_EQ(e->anyL1Holder(), !ids.empty());
+            EXPECT_EQ(e->numL1Holders(), ids.size());
+            EXPECT_TRUE(e->l1Holders() == l1);
+            EXPECT_TRUE(e->onChip());
+            // Dropping the banks one by one leaves only the L1 bits.
+            for (const BankId b : ref)
+                dir.removeL2(a, b);
+            e = dir.find(a);
+            EXPECT_FALSE(e->anyL2Copy());
+            EXPECT_EQ(e->numL2Copies(), 0u);
+            EXPECT_TRUE(e->l2Copies() == L2CopyMask{});
+            EXPECT_EQ(e->onChip(), !ids.empty());
+            EXPECT_TRUE(e->l1Holders() == l1);
+        }
+    }
 }
 
 /** What the directory must report for one block. */
@@ -580,7 +637,8 @@ TEST_P(DirectoryChurn, MatchesMapModel)
 
 INSTANTIATE_TEST_SUITE_P(
     BothWidths, DirectoryChurn,
-    ::testing::Values(std::make_pair(8u, 32u), std::make_pair(64u, 256u)),
+    ::testing::Values(std::make_pair(8u, 32u), std::make_pair(16u, 128u),
+                      std::make_pair(64u, 256u)),
     [](const auto &info) {
         return std::to_string(info.param.first) + "c" +
                std::to_string(info.param.second) + "b";
@@ -672,6 +730,55 @@ TEST(DirectorySnapshot, OffChipRecordsAreDroppedOnLoad)
     EXPECT_EQ(kept.size(), 2000u);
     for (const std::string &rec : kept)
         EXPECT_TRUE(std::binary_search(all.begin(), all.end(), rec));
+}
+
+/** A one-entry directory image whose masks carry `l1_bit` and
+ *  `bank_bit`. */
+std::string
+oneEntryImage(std::uint32_t l1_bit, std::uint32_t bank_bit)
+{
+    SnapshotWriter w;
+    w.u64(1);
+    w.u64(0x500040);
+    L1HolderMask l1;
+    l1.set(l1_bit);
+    L2CopyMask l2;
+    l2.set(bank_bit);
+    for (std::uint32_t k = 0; k < L1HolderMask::kWords; ++k)
+        w.u64(l1.word(k));
+    for (std::uint32_t k = 0; k < L2CopyMask::kWords; ++k)
+        w.u64(l2.word(k));
+    w.u8(static_cast<std::uint8_t>(OwnerKind::Memory));
+    w.u32(0);
+    w.b(false);
+    w.u32(0);
+    return w.bytes();
+}
+
+TEST(DirectorySnapshot, RejectsBitsPastTheMachine)
+{
+    // 8 cores / 32 banks pack into one word: an L1 bit at l1Count
+    // would read back as bank 0, and bank 32 as a bit no one owns.
+    const SystemConfig cfg = machine(8, 32);
+    {
+        Directory dir(cfg);
+        SnapshotReader r(oneEntryImage(cfg.l1Count() - 1, cfg.l2Banks - 1));
+        dir.load(r);
+        r.finish();
+        const BlockInfo *e = dir.find(0x500040);
+        ASSERT_NE(e, nullptr);
+        EXPECT_TRUE(e->hasL1Holder(cfg.l1Count() - 1));
+        EXPECT_TRUE(e->hasL2Copy(cfg.l2Banks - 1));
+        EXPECT_EQ(e->numL1Holders() + e->numL2Copies(), 2u);
+    }
+    for (const auto &[l1_bit, bank_bit] :
+         {std::pair<std::uint32_t, std::uint32_t>{cfg.l1Count(), 0},
+          {0, cfg.l2Banks}}) {
+        SCOPED_TRACE(testing::Message() << l1_bit << "/" << bank_bit);
+        Directory dir(cfg);
+        SnapshotReader r(oneEntryImage(l1_bit, bank_bit));
+        EXPECT_THROW(dir.load(r), SnapshotError);
+    }
 }
 
 TEST(DirectorySnapshot, NarrowMachineRefusesWideEntries)

@@ -5,7 +5,7 @@
  * It reads the compact artifacts this repo writes (point files,
  * quarantine lists, heartbeats, run-ledger lines) and the documents it
  * did not write (pretty-printed BENCH_core.json, hand-edited
- * baselines, google-benchmark output) alike: any RFC 8259 document
+ * baselines, perfbench result lines) alike: any RFC 8259 document
  * becomes an ordered value tree. It is not a performance path — the
  * simulator never reads JSON — and favours smallness over speed.
  *

@@ -18,9 +18,7 @@
  *
  * Events are InlineFn closures (no heap for typical captures) stored
  * in a per-queue slab with a freelist, so steady-state scheduling
- * performs no allocation at all. HeapEventQueue keeps the old
- * priority-queue kernel as the differential-test and benchmark
- * baseline.
+ * performs no allocation at all.
  */
 
 #ifndef ESPNUCA_SIM_EVENT_QUEUE_HPP_

@@ -1,25 +1,83 @@
 /**
  * @file
- * Differential test of the timing-wheel EventQueue against the
- * reference binary-heap kernel (HeapEventQueue, the pre-wheel
- * implementation). Both queues replay identical (delay, payload)
- * streams — including delays beyond the near window, zero delays, and
- * events scheduled from inside callbacks — and must produce identical
- * (payload, fire-time) sequences. runUntil boundary semantics are
- * compared step for step as well.
+ * Differential test of the timing-wheel EventQueue against a reference
+ * kernel kept here: a sorted map keyed by (time, insertion sequence)
+ * holding std::function callbacks. Both queues replay identical
+ * (delay, payload) streams — including delays beyond the near window,
+ * zero delays, and events scheduled from inside callbacks — and must
+ * produce identical (payload, fire-time) sequences. runUntil boundary
+ * semantics are compared step for step as well.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/heap_event_queue.hpp"
 
 namespace espnuca {
 namespace {
+
+/** Reference kernel: events fire in (time, insertion-seq) order. */
+class ReferenceQueue
+{
+  public:
+    Cycle now() const { return now_; }
+    bool empty() const { return events_.empty(); }
+    std::size_t pending() const { return events_.size(); }
+    std::uint64_t executed() const { return executed_; }
+    Cycle nextEventTime() const { return events_.begin()->first.first; }
+
+    void
+    schedule(Cycle delay, std::function<void()> fn)
+    {
+        scheduleAt(now_ + delay, std::move(fn));
+    }
+
+    void
+    scheduleAt(Cycle when, std::function<void()> fn)
+    {
+        events_.emplace(std::pair{when, seq_++}, std::move(fn));
+    }
+
+    void
+    step()
+    {
+        auto node = events_.extract(events_.begin());
+        now_ = node.key().first;
+        ++executed_;
+        node.mapped()();
+    }
+
+    void
+    run()
+    {
+        while (!empty())
+            step();
+    }
+
+    void
+    runUntil(Cycle limit)
+    {
+        while (!empty() && nextEventTime() <= limit)
+            step();
+        if (now_ < limit && empty())
+            now_ = limit;
+    }
+
+  private:
+    std::map<std::pair<Cycle, std::uint64_t>, std::function<void()>>
+        events_;
+    Cycle now_ = 0;
+    std::uint64_t seq_ = 0;
+    std::uint64_t executed_ = 0;
+};
 
 struct Firing
 {
@@ -98,7 +156,7 @@ TEST(TimingWheelDifferential, RandomStreamsMatchReferenceHeap)
         const auto wheel =
             runSchedule<EventQueue>(seed, 64, 2000);
         const auto heap =
-            runSchedule<HeapEventQueue>(seed, 64, 2000);
+            runSchedule<ReferenceQueue>(seed, 64, 2000);
         ASSERT_EQ(wheel.size(), heap.size()) << "seed " << seed;
         for (std::size_t i = 0; i < wheel.size(); ++i) {
             ASSERT_EQ(wheel[i], heap[i])
@@ -119,7 +177,7 @@ TEST(TimingWheelDifferential, RunUntilBoundariesMatchReferenceHeap)
 {
     for (std::uint64_t seed = 20; seed <= 23; ++seed) {
         EventQueue wheel;
-        HeapEventQueue heap;
+        ReferenceQueue heap;
         Rng rng(seed);
         std::vector<std::uint32_t> wheel_log, heap_log;
 
@@ -164,7 +222,7 @@ TEST(TimingWheelDifferential, RunUntilBoundariesMatchReferenceHeap)
 TEST(TimingWheelDifferential, StepwiseAccountingMatchesReferenceHeap)
 {
     EventQueue wheel;
-    HeapEventQueue heap;
+    ReferenceQueue heap;
     Rng rng(99);
     for (int i = 0; i < 500; ++i) {
         const Cycle d = randomDelay(rng);

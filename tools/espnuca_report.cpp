@@ -6,8 +6,8 @@
  * Both documents (typically BENCH_core.json snapshots, but any JSON
  * works) are flattened to dotted numeric paths and diffed metric by
  * metric. Each metric's direction is inferred from its name — a
- * throughput-shaped metric ("*_per_sec", "*speedup*") regresses when
- * it drops, a latency-shaped one ("ns_per_*", "*_seconds",
+ * throughput-shaped metric ("*_per_sec", "*_per_s", "*speedup*")
+ * regresses when it drops, a latency-shaped one ("ns_per_*", "*_seconds",
  * "*overhead*") when it rises, anything else is flagged on movement in
  * either direction — and a change beyond the noise threshold makes it
  * a regression.
@@ -20,14 +20,18 @@
  *                  [--check]           exit 1 on any regression
  *
  * Exit codes: 0 ok (or regressions found without --check), 1 at least
- * one regression with --check, 2 usage, 3 unreadable/unparsable input.
- * CI's bench-smoke lane runs `--check --only protocol.esp_nuca` as the
- * perf guard; ESPNUCA_SKIP_PERF_GUARD=1 is honoured by the caller, not
- * here — this tool always tells the truth.
+ * one regression with --check, 2 usage (including a --threshold that is
+ * not a finite number >= 0, and --check over a selection holding no
+ * baseline metric), 3 unreadable/unparsable input. CI's bench-smoke
+ * lane runs `--check --threshold 15 --only e2e.<workload>.refs_per_s`
+ * on perfbench results as the perf guard; ESPNUCA_SKIP_PERF_GUARD=1 is
+ * honoured by the caller, not here — this tool always tells the
+ * truth.
  */
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
@@ -56,7 +60,8 @@ directionOf(const std::string &path)
     auto has = [&path](const char *needle) {
         return path.find(needle) != std::string::npos;
     };
-    if (has("per_sec") || has("speedup") || has("ipc") || has("hits"))
+    if (path.ends_with("_per_s") || has("per_sec") || has("speedup") ||
+        has("ipc") || has("hits"))
         return Direction::HigherBetter;
     if (has("ns_per") || has("_seconds") || has("overhead") ||
         has("wall") || has("latency") || has("wait"))
@@ -139,8 +144,18 @@ main(int argc, char **argv)
             baselinePath = next();
         else if (a == "--new")
             newPath = next();
-        else if (a == "--threshold")
-            threshold = std::atof(next());
+        else if (a == "--threshold") {
+            const char *text = next();
+            char *end = nullptr;
+            threshold = std::strtod(text, &end);
+            if (end == text || *end != '\0' || !std::isfinite(threshold) ||
+                threshold < 0.0) {
+                std::fprintf(stderr,
+                             "espnuca-report: --threshold wants a finite "
+                             "number >= 0, got '%s'\n", text);
+                return 2;
+            }
+        }
         else if (a == "--only")
             only = next();
         else if (a == "--json")
@@ -152,7 +167,7 @@ main(int argc, char **argv)
         else
             usage(2);
     }
-    if (baselinePath.empty() || newPath.empty() || threshold < 0.0)
+    if (baselinePath.empty() || newPath.empty())
         usage(2);
 
     JsonValue baseDoc;
@@ -200,6 +215,15 @@ main(int argc, char **argv)
             d.improvement = !worse;
         }
         diffs.push_back(d);
+    }
+    // A guard over nothing is no guard: a --check whose selection holds
+    // no baseline metric (say, a mistyped --only) must not pass.
+    if (check && diffs.empty() && missing.empty()) {
+        std::fprintf(stderr,
+                     "espnuca-report: --check selects no metric of %s "
+                     "(--only '%s')\n",
+                     baselinePath.c_str(), only.c_str());
+        return 2;
     }
     for (const auto &[path, v] : fresh) {
         (void)v;

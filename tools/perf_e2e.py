@@ -1,0 +1,47 @@
+#!/usr/bin/env python3
+"""Run perfbench on each named workload and print the "e2e" section.
+
+    python3 tools/perf_e2e.py apache-esp mcf4-esp > measured.json
+
+Each workload gets one `python3 perfbench/run.py --workload W --seed 1
+--seconds 10 --trace 0` run; its `refs_per_s` comes from the JSON
+object on the run's last stdout line. The output document is
+`{"e2e": {W: {"refs_per_s": N}, ...}}`, the shape of BENCH_core.json's
+"e2e" section, so `espnuca-report --check` can diff it against the
+committed baseline. Exits 1, printing no document, when a run exits
+non-zero, prints no result, or reports `failed > 0`.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+
+
+def refs_per_s(workload):
+    proc = subprocess.run(
+        [sys.executable, str(RUN), "--workload", workload, "--seed", "1",
+         "--seconds", "10", "--trace", "0"],
+        stdout=subprocess.PIPE, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.exit(f"perf_e2e: {workload}: perfbench exited "
+                 f"{proc.returncode} with no result")
+    result = json.loads(lines[-1])
+    if result["failed"] > 0:
+        sys.exit(f"perf_e2e: {workload}: {result['failed']} of "
+                 f"{result['attempted']} runs failed")
+    return round(result["metrics"]["refs_per_s"]["value"])
+
+
+def main():
+    if len(sys.argv) < 2:
+        sys.exit("usage: perf_e2e.py WORKLOAD...")
+    e2e = {w: {"refs_per_s": refs_per_s(w)} for w in sys.argv[1:]}
+    print(json.dumps({"e2e": e2e}, indent=2))
+
+
+if __name__ == "__main__":
+    main()

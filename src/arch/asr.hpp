@@ -37,6 +37,7 @@ class Asr : public L2Org
     }
 
     std::string name() const override { return "asr"; }
+    bool placesHelpingBlocks() const override { return true; }
 
     void
     search(Transaction &tx) override

@@ -43,6 +43,8 @@ class CooperativeCaching : public L2Org
                            static_cast<int>(coopProb_ * 100 + 0.5));
     }
 
+    bool placesHelpingBlocks() const override { return true; }
+
     void
     search(Transaction &tx) override
     {

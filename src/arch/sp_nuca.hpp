@@ -52,6 +52,8 @@ class SpNuca : public L2Org
         }
     }
 
+    bool placesHelpingBlocks() const override { return true; }
+
     void
     search(Transaction &tx) override
     {

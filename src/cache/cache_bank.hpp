@@ -305,24 +305,6 @@ class CacheBank
         return n;
     }
 
-    /** Helping-block occupancy snapshot (epoch telemetry). */
-    struct HelpingOccupancy
-    {
-        std::uint32_t replicas = 0;
-        std::uint32_t victims = 0;
-    };
-
-    HelpingOccupancy
-    helpingOccupancy() const
-    {
-        HelpingOccupancy occ;
-        occ.replicas = static_cast<std::uint32_t>(
-            countClass(BlockClass::Replica));
-        occ.victims = static_cast<std::uint32_t>(
-            countClass(BlockClass::Victim));
-        return occ;
-    }
-
     // -- Snapshot/restore ----------------------------------------------
 
     /** Serialize contents, timing and statistics. The replacement

@@ -109,9 +109,9 @@ class HitRateMonitor
     /** Estimated hit rates (diagnostics, sensitivity benches). Reads
      *  flush the sample buffers so mid-period values match the
      *  per-access-update mode exactly. */
-    std::uint32_t hrConventional() const { return hrC_.raw(); }
-    std::uint32_t hrReference() const { return hrR_.raw(); }
-    std::uint32_t hrExplorer() const { return hrE_.raw(); }
+    std::uint32_t emaConventional() const { return hrC_.raw(); }
+    std::uint32_t emaReference() const { return hrR_.raw(); }
+    std::uint32_t emaExplorer() const { return hrE_.raw(); }
 
     /** Number of nmax adjustments performed (diagnostic). */
     std::uint64_t increments() const { return increments_; }

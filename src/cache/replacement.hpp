@@ -147,8 +147,6 @@ class StaticPartitionLru : public ReplacementPolicy
             static_cast<ClassMask>(kMatchAny & ~side_mask));
     }
 
-    std::uint32_t privateWays() const { return privateWays_; }
-
   private:
     /** Private-partition classes (replica folds into the private side). */
     static constexpr ClassMask kPrivateSide =

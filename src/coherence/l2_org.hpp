@@ -93,10 +93,13 @@ class L2Org
     /**
      * Register per-bank statistics under bank.* (unified naming,
      * DESIGN.md 5.13). Names are frozen — stats dumps are
-     * byte-compared across refactors.
+     * byte-compared across refactors. `extended` adds the monitor's
+     * raw fixed-point set-class EMAs (hr_ref/hr_conv/hr_exp) and, for
+     * organizations that place helping blocks, their occupancy
+     * (replicas/victims); the text dump never carries them.
      */
     void
-    registerStats(StatsRegistry &reg) const
+    registerStats(StatsRegistry &reg, bool extended = false) const
     {
         const StatsScope banks(reg, "bank");
         for (BankId b = 0; b < numBanks(); ++b) {
@@ -106,10 +109,24 @@ class L2Org
             s.counter("demand").inc(bk.demandAccesses());
             s.counter("demand_hits").inc(bk.demandHits());
             s.counter("evictions").inc(bk.evictions());
-            if (bk.monitor())
-                s.counter("nmax").inc(bk.monitor()->nmax());
+            const HitRateMonitor *mon = bk.monitor();
+            if (mon)
+                s.counter("nmax").inc(mon->nmax());
+            if (extended && mon) {
+                s.counter("hr_ref").inc(mon->emaReference());
+                s.counter("hr_conv").inc(mon->emaConventional());
+                s.counter("hr_exp").inc(mon->emaExplorer());
+            }
+            if (extended && placesHelpingBlocks()) {
+                s.counter("replicas").inc(bk.countClass(BlockClass::Replica));
+                s.counter("victims").inc(bk.countClass(BlockClass::Victim));
+            }
         }
     }
+
+    /** Whether the organization stores replicas or victims (helping
+     *  blocks) in its banks. */
+    virtual bool placesHelpingBlocks() const { return false; }
 
     const AddressMap &map() const { return map_; }
     AddressMap &map() { return map_; } //!< fault injection installs remaps

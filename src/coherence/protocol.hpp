@@ -381,9 +381,6 @@ class Protocol
      */
     void setDropCompletion(std::uint64_t id) { dropTxId_ = id; }
 
-    /** Completions swallowed by setDropCompletion. */
-    std::uint64_t droppedCompletions() const { return droppedCompletions_; }
-
     /**
      * Structured diagnostic dump for watchdog failures: a per-state
      * in-flight histogram (named states), the outstanding transactions

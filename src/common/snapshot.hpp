@@ -83,7 +83,10 @@ inline constexpr std::uint32_t kSnapshotMagic = 0x4E505345; // "ESPN"
 //     never be restored under a different physical layout.
 // v5: the mesh section drops its message-latency total (the mesh counts
 //     messages per routed delivery and keeps no latency sum).
-inline constexpr std::uint32_t kSnapshotVersion = 5;
+// v6: the sampler section stores StatsRegistry samples: per sample the
+//     cycle, a name table when it differs from the previous sample's,
+//     and one value per name (no fixed per-bank record).
+inline constexpr std::uint32_t kSnapshotVersion = 6;
 
 /** Identity a snapshot is bound to; all fields must match on restore. */
 struct SnapshotIdentity

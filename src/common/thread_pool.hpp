@@ -22,6 +22,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/parse_num.hpp"
+
 namespace espnuca {
 
 /** Simple FIFO thread pool with future-based result delivery. */
@@ -82,12 +84,14 @@ class ThreadPool
     /**
      * Worker count selected by the environment: ESPNUCA_JOBS when set
      * (clamped to >= 1), otherwise std::thread::hardware_concurrency().
+     * An ESPNUCA_JOBS that is not a decimal u32 exits 2, naming it.
      */
     static unsigned
     defaultJobs()
     {
         if (const char *s = std::getenv("ESPNUCA_JOBS")) {
-            const long v = std::strtol(s, nullptr, 10);
+            const auto v = parseOrExit(
+                [s] { return parseUnsigned(s, "ESPNUCA_JOBS", kMaxU32); });
             return v < 1 ? 1u : static_cast<unsigned>(v);
         }
         const unsigned hw = std::thread::hardware_concurrency();

@@ -109,9 +109,6 @@ class TraceCore
         return memOps_ - measMemOps_;
     }
 
-    /** First cycle of the measured window. */
-    Cycle measurementStart() const { return measCycle_; }
-
     /** Retired instructions per cycle over the measured window. */
     double
     ipc() const

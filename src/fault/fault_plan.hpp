@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/parse_num.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 
@@ -343,8 +344,6 @@ struct FaultPlan
         return s.substr(b, e - b);
     }
 
-    /** Largest value of a u32 field. */
-    static constexpr std::uint64_t kMaxU32 = 0xFFFFFFFFu;
     /** Largest bank or node id: the all-ones u32 is the "none"/"every
      *  bank" sentinel, so a number may not spell it. */
     static constexpr std::uint64_t kMaxId = kMaxU32 - 1;
@@ -355,27 +354,11 @@ struct FaultPlan
     parseNum(const std::string &s, const char *what,
              std::uint64_t max = ~std::uint64_t{0})
     {
-        if (s.empty())
-            throw FaultPlanError(std::string(what) + ": empty number");
-        // std::stoull would skip leading blanks and negate a '-' sign.
-        if (!std::isdigit(static_cast<unsigned char>(s[0])))
-            throw FaultPlanError(std::string(what) + ": bad number '" +
-                                 s + "'");
-        std::size_t used = 0;
-        std::uint64_t v = 0;
         try {
-            v = std::stoull(s, &used, 0); // 0x.. and decimal both work
-        } catch (const std::exception &) {
-            throw FaultPlanError(std::string(what) + ": bad number '" +
-                                 s + "'");
+            return parseUnsigned(s, what, max, 0);
+        } catch (const NumberError &e) {
+            throw FaultPlanError(e.what());
         }
-        if (used != s.size())
-            throw FaultPlanError(std::string(what) +
-                                 ": trailing junk in '" + s + "'");
-        if (v > max)
-            throw FaultPlanError(std::string(what) + ": '" + s +
-                                 "' out of range");
-        return v;
     }
 
     static std::vector<std::string>

@@ -26,9 +26,11 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "common/parse_num.hpp"
 #include "common/rng.hpp"
 #include "common/snapshot.hpp"
 #include "common/thread_pool.hpp"
@@ -112,6 +114,8 @@ struct ExperimentConfig
      * never merge):
      *   ESPNUCA_MESH      — mesh dimensions as CxR
      *   ESPNUCA_PLACEMENT — builder name or espnuca-placement-v1 text
+     * A number knob that is not a plain decimal in its field's range
+     * prints a NumberError naming the variable and exits 2.
      */
     static ExperimentConfig
     fromEnv(std::uint64_t default_ops = 60'000,
@@ -120,25 +124,20 @@ struct ExperimentConfig
         ExperimentConfig e;
         e.opsPerCore = default_ops;
         e.runs = default_runs;
-        if (const char *s = std::getenv("ESPNUCA_OPS"))
-            e.opsPerCore = std::strtoull(s, nullptr, 10);
-        if (const char *s = std::getenv("ESPNUCA_RUNS"))
-            e.runs = static_cast<std::uint32_t>(
-                std::strtoul(s, nullptr, 10));
+        parseOrExit([&e] {
+            if (const char *s = std::getenv("ESPNUCA_OPS"))
+                e.opsPerCore = parseUnsigned(s, "ESPNUCA_OPS");
+            if (const char *s = std::getenv("ESPNUCA_RUNS"))
+                e.runs = static_cast<std::uint32_t>(
+                    parseUnsigned(s, "ESPNUCA_RUNS", kMaxU32));
+            if (const char *s = std::getenv("ESPNUCA_MESH"))
+                std::tie(e.system.meshCols, e.system.meshRows) =
+                    parseGrid(s, "ESPNUCA_MESH");
+        });
         if (const char *s = std::getenv("ESPNUCA_CKPT_DIR"))
             e.checkpointDir = s;
         if (const char *s = std::getenv("ESPNUCA_PLACEMENT"))
             e.system.placement = s;
-        if (const char *s = std::getenv("ESPNUCA_MESH")) {
-            const std::string v(s);
-            const auto x = v.find('x');
-            if (x != std::string::npos) {
-                e.system.meshCols = static_cast<std::uint32_t>(
-                    std::strtoul(v.substr(0, x).c_str(), nullptr, 10));
-                e.system.meshRows = static_cast<std::uint32_t>(
-                    std::strtoul(v.substr(x + 1).c_str(), nullptr, 10));
-            }
-        }
         return e;
     }
 

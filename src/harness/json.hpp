@@ -221,6 +221,16 @@ class JsonWriter
     bool pendingValue_ = false;
 };
 
+/** 16-hex-digit rendering of a digest (stable across platforms). */
+inline std::string
+digestHex(std::uint64_t v)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(v));
+    return std::string(buf);
+}
+
 /** A string as a JSON string literal (JsonWriter escaping). */
 inline std::string
 jsonQuote(const std::string &s)

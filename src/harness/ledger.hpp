@@ -103,16 +103,6 @@ ledgerWallMs()
             .count());
 }
 
-/** 16-hex rendering (same shape as digestHex; local to avoid cycles). */
-inline std::string
-ledgerHex(std::uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(v));
-    return std::string(buf);
-}
-
 /** Mint a run id: unique per invocation, stable for its duration. */
 inline std::string
 makeRunId()
@@ -120,7 +110,7 @@ makeRunId()
     const std::uint64_t mixed =
         splitmix64(ledgerWallMs() ^
                    (static_cast<std::uint64_t>(::getpid()) << 40));
-    return ledgerHex(mixed);
+    return digestHex(mixed);
 }
 
 /** The run id exported by a supervising process, or "" when none. */
@@ -156,7 +146,7 @@ ledgerEventJson(const LedgerEvent &e)
     w.field("shard", static_cast<std::uint64_t>(e.shard));
     w.field("event", e.event);
     if (e.pointHash != 0) {
-        w.field("point_hash", ledgerHex(e.pointHash));
+        w.field("point_hash", digestHex(e.pointHash));
         w.field("index", e.index);
         w.field("arch", e.arch);
         w.field("workload", e.workload);

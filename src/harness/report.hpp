@@ -8,7 +8,6 @@
 #ifndef ESPNUCA_HARNESS_REPORT_HPP_
 #define ESPNUCA_HARNESS_REPORT_HPP_
 
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <string>
@@ -24,10 +23,11 @@
 namespace espnuca {
 
 /**
- * The epoch-telemetry time series as a JSON array (one object per
- * MetricsSampler tick). Per-bank objects expose the adaptive
- * controller's state: nmax, the three set-class EMAs (raw fixed-point,
- * paper 3.3), helping-block occupancy and first-class demand counters.
+ * The epoch-telemetry time series as a JSON array, one object per
+ * MetricsSampler tick: `{"cycle":N,"counters":{name:value,...}}` with
+ * the sampled StatsRegistry names (DESIGN.md 5.13), e.g. the adaptive
+ * controller's `bank.<b>.nmax` and raw fixed-point set-class EMAs
+ * `bank.<b>.hr_ref`/`hr_conv`/`hr_exp` (paper 3.3).
  */
 inline void
 writeTimeseriesJson(JsonWriter &w, const std::vector<obs::MetricsSample> &ts)
@@ -36,27 +36,10 @@ writeTimeseriesJson(JsonWriter &w, const std::vector<obs::MetricsSample> &ts)
     for (const obs::MetricsSample &s : ts) {
         w.beginObject();
         w.field("cycle", static_cast<std::uint64_t>(s.cycle));
-        w.field("mshr_depth", s.mshrDepth);
-        w.field("in_flight", s.inFlight);
-        w.field("mesh_flits", s.meshFlits);
-        w.field("link_wait", static_cast<std::uint64_t>(s.linkWait));
-        w.field("mem_accesses", s.memAccesses);
-        w.key("banks").beginArray();
-        for (const obs::BankMetrics &b : s.banks) {
-            w.beginObject();
-            if (s.hasMonitor) {
-                w.field("nmax", static_cast<std::uint64_t>(b.nmax));
-                w.field("hr_ref", static_cast<std::uint64_t>(b.hrRef));
-                w.field("hr_conv", static_cast<std::uint64_t>(b.hrConv));
-                w.field("hr_exp", static_cast<std::uint64_t>(b.hrExp));
-            }
-            w.field("replicas", static_cast<std::uint64_t>(b.replicas));
-            w.field("victims", static_cast<std::uint64_t>(b.victims));
-            w.field("demand", b.demandAccesses);
-            w.field("demand_hits", b.demandHits);
-            w.endObject();
-        }
-        w.endArray();
+        w.key("counters").beginObject();
+        for (std::size_t i = 0; i < s.values.size(); ++i)
+            w.field((*s.names)[i], s.values[i]);
+        w.endObject();
         w.endObject();
     }
     w.endArray();
@@ -178,16 +161,6 @@ buildDescribe()
 #else
     return "unknown";
 #endif
-}
-
-/** 16-hex-digit rendering of a digest (stable across platforms). */
-inline std::string
-digestHex(std::uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(v));
-    return std::string(buf);
 }
 
 /** The "build" provenance object: which binary produced a document,

@@ -20,12 +20,14 @@ namespace espnuca {
  * A StatsRegistry as a JSON object, one sub-object per collection kind.
  * Names are the unified dotted paths (DESIGN.md 5.13); values carry the
  * same numbers the text dump prints, so the two exports never diverge.
- * The averages/gauges/histograms sections appear only when non-empty,
- * so counter-only registries serialize to the minimal shape.
+ * The averages/gauges sections appear only when non-empty, so
+ * counter-only registries serialize to the minimal shape. The document
+ * is compact.
  */
-inline void
-writeStatsJson(JsonWriter &w, const StatsRegistry &reg)
+inline std::string
+statsToJson(const StatsRegistry &reg)
 {
+    JsonWriter w;
     w.beginObject();
     w.key("counters").beginObject();
     for (const auto &[name, c] : reg.counters())
@@ -47,26 +49,7 @@ writeStatsJson(JsonWriter &w, const StatsRegistry &reg)
             w.field(name, g.value());
         w.endObject();
     }
-    if (!reg.histograms().empty()) {
-        w.key("histograms").beginObject();
-        for (const auto &[name, h] : reg.histograms()) {
-            w.key(name).beginObject();
-            w.field("mean", h.mean());
-            w.field("total", h.total());
-            w.field("p95", h.percentile(0.95));
-            w.endObject();
-        }
-        w.endObject();
-    }
     w.endObject();
-}
-
-/** writeStatsJson as a standalone compact document. */
-inline std::string
-statsToJson(const StatsRegistry &reg)
-{
-    JsonWriter w;
-    writeStatsJson(w, reg);
     return w.str();
 }
 

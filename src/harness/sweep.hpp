@@ -38,6 +38,7 @@
 #include <unistd.h>
 
 #include "common/atomic_file.hpp"
+#include "common/parse_num.hpp"
 #include "common/rng.hpp"
 #include "common/snapshot.hpp"
 #include "harness/ledger.hpp"
@@ -83,22 +84,14 @@ struct ShardSpec
     parse(const std::string &spec)
     {
         const std::size_t slash = spec.find('/');
-        if (slash == std::string::npos || slash == 0 ||
-            slash + 1 >= spec.size())
+        if (slash == std::string::npos)
             throw std::invalid_argument("shard spec wants i/N: " + spec);
-        for (std::size_t i = 0; i < spec.size(); ++i)
-            if (i != slash && (spec[i] < '0' || spec[i] > '9'))
-                throw std::invalid_argument("shard spec wants i/N: " +
-                                            spec);
+        const std::string what = "shard spec " + spec;
         ShardSpec s;
-        try {
-            s.index = static_cast<std::uint32_t>(
-                std::stoul(spec.substr(0, slash), nullptr, 10));
-            s.count = static_cast<std::uint32_t>(
-                std::stoul(spec.substr(slash + 1), nullptr, 10));
-        } catch (const std::exception &) {
-            throw std::invalid_argument("shard spec wants i/N: " + spec);
-        }
+        s.index = static_cast<std::uint32_t>(
+            parseUnsigned(spec.substr(0, slash), what, kMaxU32));
+        s.count = static_cast<std::uint32_t>(
+            parseUnsigned(spec.substr(slash + 1), what, kMaxU32));
         if (s.count == 0 || s.index >= s.count)
             throw std::invalid_argument(
                 "shard index out of range in: " + spec);

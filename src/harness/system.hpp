@@ -213,13 +213,21 @@ class System
         tracer_.enableFull(cat_mask);
     }
 
-    /** Sample epoch telemetry every `interval` cycles into run(). */
+    /**
+     * Sample epoch telemetry every `interval` cycles into run(): each
+     * tick records every counter of the extended collection except the
+     * host-clock prof.* ones, plus the two live levels that a drain
+     * always leaves at 0 (in-flight transactions, allocated MSHRs).
+     */
     void
     enableMetrics(Cycle interval)
     {
         sampler_ = std::make_unique<obs::MetricsSampler>(
-            eq_, interval,
-            [this](obs::MetricsSample &s) { fillSample(s); });
+            eq_, interval, [this](StatsRegistry &reg) {
+                collectModelStats(reg, true);
+                reg.counter("proto.in_flight").inc(proto_.inFlight());
+                reg.counter("proto.mshrs").inc(proto_.mshrCount());
+            });
     }
 
     obs::Tracer &tracer() { return tracer_; }
@@ -253,31 +261,16 @@ class System
      * Register every component's statistics into `reg` under the
      * unified naming scheme (DESIGN.md 5.13). The default collection
      * is the frozen set dumpStats() has always printed; `extended`
-     * adds observer-side metrics (watchdog.*) that only the JSON /
-     * counter-track exports see, never the byte-compared text dump.
+     * adds metrics that only the JSON stats block and the epoch
+     * sampler see, never the byte-compared text dump: watchdog.*, and
+     * the per-bank EMAs and helping-block occupancy (L2Org).
      */
     void
     collectStats(StatsRegistry &reg, bool extended = false) const
     {
-        reg.counter("sim.cycles").inc(eq_.now());
-        reg.counter("sim.events").inc(eq_.executed());
-        proto_.registerStats(reg);
-        mesh_.registerStats(reg);
-        injection_.registerStats(reg);
-        org_->registerStats(reg);
-        for (CoreId c = 0; c < cfg_.numCores; ++c) {
-            if (!cores_[c])
-                continue;
-            const StatsScope core =
-                StatsScope(reg, "core").sub(std::to_string(c));
-            core.counter("instructions").inc(cores_[c]->instructions());
-            core.counter("mem_ops").inc(cores_[c]->memOps());
-            core.average("ipc").record(cores_[c]->ipc());
-        }
+        collectModelStats(reg, extended);
         // Wall-clock self-profiling (prof.*); empty unless --prof ran.
         obs::ProfRegistry::instance().collect(reg);
-        if (extended && watchdog_)
-            watchdog_->registerStats(reg);
     }
 
     /**
@@ -348,8 +341,8 @@ class System
                     "only synthetic sources are checkpointable");
             src->save(w);
         }
-        // Sampler section (v3): the warmup epoch's timeseries rides in
-        // the checkpoint so a restored run merges a complete series.
+        // Sampler section: the warmup epoch's timeseries rides in the
+        // checkpoint so a restored run merges a complete series.
         w.b(sampler_ != nullptr);
         if (sampler_)
             sampler_->save(w);
@@ -405,8 +398,6 @@ class System
     EventQueue &eq() { return eq_; }
     Mesh &mesh() { return mesh_; }
     const Topology &topo() const { return topo_; }
-    const InjectionReport &injection() const { return injection_; }
-    Watchdog *watchdog() { return watchdog_.get(); }
 
     /** Structured diagnostic snapshot (watchdog failure payload). */
     std::string
@@ -552,42 +543,35 @@ class System
         measStart_ = eq_.now();
     }
 
+    /** collectStats() without the host-clock prof.* counters. */
+    void
+    collectModelStats(StatsRegistry &reg, bool extended) const
+    {
+        reg.counter("sim.cycles").inc(eq_.now());
+        reg.counter("sim.events").inc(eq_.executed());
+        proto_.registerStats(reg);
+        mesh_.registerStats(reg);
+        injection_.registerStats(reg);
+        org_->registerStats(reg, extended);
+        for (CoreId c = 0; c < cfg_.numCores; ++c) {
+            if (!cores_[c])
+                continue;
+            const StatsScope core =
+                StatsScope(reg, "core").sub(std::to_string(c));
+            core.counter("instructions").inc(cores_[c]->instructions());
+            core.counter("mem_ops").inc(cores_[c]->memOps());
+            core.average("ipc").record(cores_[c]->ipc());
+        }
+        if (extended && watchdog_)
+            watchdog_->registerStats(reg);
+    }
+
     /** Hand every emitting component its pointer to our tracer. */
     void
     wireObservability()
     {
         proto_.setTracer(&tracer_);
         mesh_.setTracer(&tracer_);
-    }
-
-    /** Read-only epoch snapshot (MetricsSampler filler). */
-    void
-    fillSample(obs::MetricsSample &s)
-    {
-        s.mshrDepth = proto_.mshrCount();
-        s.inFlight = proto_.inFlight();
-        s.meshFlits = mesh_.totalFlits();
-        s.linkWait = mesh_.totalLinkWait();
-        for (std::uint32_t m = 0; m < cfg_.memControllers; ++m)
-            s.memAccesses += proto_.memCtrl(m).accesses();
-        s.banks.reserve(org_->numBanks());
-        for (BankId b = 0; b < org_->numBanks(); ++b) {
-            const CacheBank &bank = org_->bank(b);
-            obs::BankMetrics bm;
-            if (const HitRateMonitor *mon = bank.monitor()) {
-                s.hasMonitor = true;
-                bm.nmax = mon->nmax();
-                bm.hrRef = mon->hrReference();
-                bm.hrConv = mon->hrConventional();
-                bm.hrExp = mon->hrExplorer();
-            }
-            const auto occ = bank.helpingOccupancy();
-            bm.replicas = occ.replicas;
-            bm.victims = occ.victims;
-            bm.demandAccesses = bank.demandAccesses();
-            bm.demandHits = bank.demandHits();
-            s.banks.push_back(bm);
-        }
     }
 
     /** Apply the fault plan (if any) and wire up the watchdog. */

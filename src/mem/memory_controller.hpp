@@ -50,9 +50,6 @@ class MemoryController
     /** Accumulated queueing delay (bandwidth pressure indicator). */
     Cycle queueWait() const { return queueWait_; }
 
-    /** Cycle the channel next goes idle (epoch-telemetry backlog view). */
-    Cycle busyUntil() const { return freeAt_; }
-
     /** Clear state and statistics. */
     void
     reset()

@@ -1,11 +1,13 @@
 /**
  * @file
  * Epoch telemetry: a periodic, read-only event on the simulation's own
- * EventQueue that snapshots the adaptive controller's visible state —
- * per-bank nmax, the Reference/Conventional/Explorer EMA values,
- * helping-block occupancy, first-class hit rates — plus link
- * utilization and MSHR depth, into an in-memory time series that
- * report.hpp serializes as the point JSON's "timeseries" section.
+ * EventQueue that samples the StatsRegistry. Every tick fills a fresh
+ * registry (the System passes its extended collection, which carries
+ * the adaptive controller's per-bank nmax, set-class EMAs and
+ * helping-block occupancy next to the mesh, memory and protocol
+ * counters) and records each counter's value, so any registered
+ * counter becomes a time series. report.hpp serializes the series as
+ * the point JSON's "timeseries" section.
  *
  * Like the watchdog, the sampler registers its event as auxiliary with
  * the queue and re-arms only while real work remains pending, so it
@@ -19,56 +21,40 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/log.hpp"
 #include "common/snapshot.hpp"
 #include "common/types.hpp"
 #include "sim/event_queue.hpp"
+#include "stats/stats_registry.hpp"
 
 namespace espnuca {
 namespace obs {
 
-/** One bank's slice of an epoch snapshot. */
-struct BankMetrics
-{
-    std::uint32_t nmax = 0;    //!< helping-block cap (ESP banks only)
-    std::uint32_t hrRef = 0;   //!< Reference EMA, raw fixed point
-    std::uint32_t hrConv = 0;  //!< Conventional EMA, raw fixed point
-    std::uint32_t hrExp = 0;   //!< Explorer EMA, raw fixed point
-    std::uint32_t replicas = 0;
-    std::uint32_t victims = 0;
-    std::uint64_t demandAccesses = 0;
-    std::uint64_t demandHits = 0;
+/** Sorted counter names; consecutive samples with the same key set
+ *  share one table. */
+using NameTable = std::vector<std::string>;
 
-    bool
-    operator==(const BankMetrics &) const = default;
-};
-
-/** One epoch snapshot across the whole system. */
+/** One epoch snapshot: the cycle plus one value per table name. */
 struct MetricsSample
 {
     Cycle cycle = 0;
-    std::uint64_t mshrDepth = 0;  //!< allocated MSHRs at sample time
-    std::uint64_t inFlight = 0;   //!< outstanding transactions
-    std::uint64_t meshFlits = 0;  //!< cumulative flits sent
-    Cycle linkWait = 0;           //!< cumulative link queueing delay
-    std::uint64_t memAccesses = 0;
-    bool hasMonitor = false;      //!< banks carry live EMA monitors
-    std::vector<BankMetrics> banks;
-
-    bool
-    operator==(const MetricsSample &) const = default;
+    std::shared_ptr<const NameTable> names;
+    std::vector<std::uint64_t> values; //!< values[i] belongs to names[i]
 };
 
 /**
- * The periodic sampling event. The System supplies a filler that reads
- * component state; the sampler owns the cadence and the series.
+ * The periodic sampling event. The System supplies a filler that
+ * registers its statistics; the sampler owns the cadence and the
+ * series.
  */
 class MetricsSampler
 {
   public:
-    using FillFn = std::function<void(MetricsSample &)>;
+    using FillFn = std::function<void(StatsRegistry &)>;
 
     MetricsSampler(EventQueue &eq, Cycle interval, FillFn fill)
         : eq_(eq), interval_(interval), fill_(std::move(fill))
@@ -95,38 +81,36 @@ class MetricsSampler
     // The series captured so far (the warmup epoch's samples) rides
     // inside the checkpoint, so a warm-restored run's merged timeseries
     // is byte-identical to the cold run's: warmup samples from the
-    // snapshot, tail samples recorded live after the fast-forward.
+    // snapshot, tail samples recorded live after the fast-forward. A
+    // sample writes its name table only when the table differs from
+    // its predecessor's.
 
     void
     save(SnapshotWriter &w) const
     {
         w.u64(interval_);
         w.u64(samples_.size());
+        const NameTable *prev = nullptr;
         for (const MetricsSample &s : samples_) {
             w.u64(s.cycle);
-            w.u64(s.mshrDepth);
-            w.u64(s.inFlight);
-            w.u64(s.meshFlits);
-            w.u64(s.linkWait);
-            w.u64(s.memAccesses);
-            w.b(s.hasMonitor);
-            w.u64(s.banks.size());
-            for (const BankMetrics &b : s.banks) {
-                w.u32(b.nmax);
-                w.u32(b.hrRef);
-                w.u32(b.hrConv);
-                w.u32(b.hrExp);
-                w.u32(b.replicas);
-                w.u32(b.victims);
-                w.u64(b.demandAccesses);
-                w.u64(b.demandHits);
+            const bool fresh = s.names.get() != prev;
+            w.b(fresh);
+            if (fresh) {
+                w.u64(s.names->size());
+                for (const std::string &n : *s.names)
+                    w.str(n);
+                prev = s.names.get();
             }
+            for (const std::uint64_t v : s.values)
+                w.u64(v);
         }
     }
 
     /** Replace the series with the serialized one. Throws SnapshotError
-     *  on a cadence mismatch: splicing a warmup sampled at one interval
-     *  onto a tail sampled at another would corrupt the series. */
+     *  on a cadence mismatch (splicing a warmup sampled at one interval
+     *  onto a tail sampled at another would corrupt the series) and on
+     *  a name table that is not strictly sorted, as a registry's is (a
+     *  repeated name would repeat a key of the JSON sample object). */
     void
     load(SnapshotReader &r)
     {
@@ -134,31 +118,32 @@ class MetricsSampler
         if (iv != interval_)
             throw SnapshotError("metrics-interval mismatch");
         samples_.clear();
-        const std::uint64_t n = r.count(7 * sizeof(std::uint64_t));
+        const std::uint64_t n = r.count(sizeof(std::uint64_t) + 1);
         samples_.reserve(n);
+        std::shared_ptr<const NameTable> names;
         for (std::uint64_t i = 0; i < n; ++i) {
             MetricsSample s;
             s.cycle = r.u64();
-            s.mshrDepth = r.u64();
-            s.inFlight = r.u64();
-            s.meshFlits = r.u64();
-            s.linkWait = r.u64();
-            s.memAccesses = r.u64();
-            s.hasMonitor = r.b();
-            const std::uint64_t nb = r.count(5 * sizeof(std::uint64_t));
-            s.banks.reserve(nb);
-            for (std::uint64_t b = 0; b < nb; ++b) {
-                BankMetrics bm;
-                bm.nmax = r.u32();
-                bm.hrRef = r.u32();
-                bm.hrConv = r.u32();
-                bm.hrExp = r.u32();
-                bm.replicas = r.u32();
-                bm.victims = r.u32();
-                bm.demandAccesses = r.u64();
-                bm.demandHits = r.u64();
-                s.banks.push_back(bm);
+            if (r.b()) {
+                auto t = std::make_shared<NameTable>();
+                const std::uint64_t k = r.count(sizeof(std::uint64_t));
+                t->reserve(k);
+                for (std::uint64_t j = 0; j < k; ++j) {
+                    t->push_back(r.str());
+                    if (j > 0 && !((*t)[j - 1] < (*t)[j]))
+                        throw SnapshotError("metrics names not sorted");
+                }
+                names = std::move(t);
+            } else if (!names) {
+                throw SnapshotError("metrics sample without a name table");
             }
+            s.names = names;
+            if (names->size() > r.remaining() / sizeof(std::uint64_t))
+                throw SnapshotError("metrics values beyond the snapshot",
+                                    SnapshotError::Kind::Truncated);
+            s.values.reserve(names->size());
+            for (std::size_t j = 0; j < names->size(); ++j)
+                s.values.push_back(r.u64());
             samples_.push_back(std::move(s));
         }
     }
@@ -168,9 +153,19 @@ class MetricsSampler
     tick()
     {
         eq_.noteAuxFired();
+        StatsRegistry reg;
+        fill_(reg);
         MetricsSample s;
         s.cycle = eq_.now();
-        fill_(s);
+        auto names = std::make_shared<NameTable>();
+        for (const auto &[name, c] : reg.counters()) {
+            names->push_back(name);
+            s.values.push_back(c.value());
+        }
+        if (!samples_.empty() && *samples_.back().names == *names)
+            s.names = samples_.back().names;
+        else
+            s.names = std::move(names);
         samples_.push_back(std::move(s));
         // Re-arm only while non-auxiliary events remain; the sampler
         // must never be the reason the queue stays alive.

@@ -7,8 +7,8 @@
  * blocks) are instants on pid 2 tracked by bank; mesh hops instants on
  * pid 3 tracked by node; memory events on pid 4 tracked by controller;
  * when epoch telemetry ran alongside the trace, each MetricsSampler
- * tick becomes counter ("ph":"C") events on pid 5, one named series
- * per system-level metric, so load curves render as counter tracks
+ * tick becomes counter ("ph":"C") events on pid 5, one track per
+ * sampled registry name, so load curves render as counter tracks
  * above the spans they explain.
  * Every event carries the owning transaction id in args.tx so a span
  * and its probes/hops correlate in the Perfetto UI (and in the CI
@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <map>
 #include <ostream>
+#include <string>
 #include <vector>
 
 #include "coherence/tx_state.hpp"
@@ -186,36 +187,17 @@ writeChromeTrace(std::ostream &os, const std::vector<TraceRecord> &records,
     }
 
     // Epoch telemetry as Perfetto counter tracks: one "ph":"C" event
-    // per sample per series. Cumulative series are deltified so the
-    // track shows per-interval activity, not an ever-growing ramp.
+    // per sample per sampled name, holding the raw registry value
+    // (Perfetto's counter "delta" view shows per-interval activity).
     if (samples != nullptr) {
-        auto counter = [&os, &first](const char *name, Cycle ts,
-                                     std::uint64_t value) {
-            writeEventCommon(os, first, name, "counter", "C", ts, 5, 0);
-            writeArgsOpen(os);
-            os << "\"" << name << "\":" << value << "}}";
-        };
-        // A cumulative counter can restart at an epoch boundary (the
-        // boundary drain resets it); a sample below its predecessor is
-        // taken as a fresh base, not a negative delta.
-        auto delta = [](std::uint64_t cur, std::uint64_t prev) {
-            return cur >= prev ? cur - prev : cur;
-        };
-        std::uint64_t prevFlits = 0;
-        std::uint64_t prevWait = 0;
-        std::uint64_t prevMem = 0;
         for (const MetricsSample &s : *samples) {
-            counter("mshr_depth", s.cycle, s.mshrDepth);
-            counter("in_flight", s.cycle, s.inFlight);
-            counter("mesh_flits", s.cycle, delta(s.meshFlits, prevFlits));
-            counter("link_wait", s.cycle,
-                    delta(static_cast<std::uint64_t>(s.linkWait),
-                          prevWait));
-            counter("mem_accesses", s.cycle,
-                    delta(s.memAccesses, prevMem));
-            prevFlits = s.meshFlits;
-            prevWait = static_cast<std::uint64_t>(s.linkWait);
-            prevMem = s.memAccesses;
+            for (std::size_t i = 0; i < s.values.size(); ++i) {
+                const std::string &name = (*s.names)[i];
+                writeEventCommon(os, first, name.c_str(), "counter", "C",
+                                 s.cycle, 5, 0);
+                writeArgsOpen(os);
+                os << "\"" << name << "\":" << s.values[i] << "}}";
+            }
         }
     }
 

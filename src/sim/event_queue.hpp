@@ -185,9 +185,6 @@ class EventQueue
     // noteAuxScheduled(), balance it with noteAuxFired() when the event
     // runs, and gate re-arming on hasRealWork().
 
-    /** Observer events currently pending. */
-    std::size_t auxPending() const { return auxPending_; }
-
     /** An observer scheduled one event. */
     void noteAuxScheduled() { ++auxPending_; }
 

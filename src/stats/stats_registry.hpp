@@ -1,10 +1,11 @@
 /**
  * @file
- * Named statistic registry: owns counters/gauges/averages/histograms
- * registered by the simulator components and dumps them in a stable
- * text format. This is the single collection surface every component's
+ * Named statistic registry: owns counters/gauges/averages registered
+ * by the simulator components and dumps them in a stable text format.
+ * This is the single collection surface every component's
  * registerStats() writes into — the stats dump, the run JSON "stats"
- * section and the Perfetto counter tracks all read from here.
+ * section, the epoch timeseries and the Perfetto counter tracks all
+ * read from here.
  */
 
 #ifndef ESPNUCA_STATS_STATS_REGISTRY_HPP_
@@ -16,7 +17,6 @@
 #include <utility>
 
 #include "stats/counter.hpp"
-#include "stats/histogram.hpp"
 
 namespace espnuca {
 
@@ -28,9 +28,9 @@ namespace espnuca {
  * Naming scheme (DESIGN.md 5.13): `<component>.<instance>.<metric>`,
  * the instance segment omitted for singletons — `proto.accesses`,
  * `bank.3.evictions`, `mc.0.queue_wait`, `core.7.ipc`, `prof.<site>.ns`.
- * The text dump prints counters first, then averages, then gauges,
- * then histograms (each section name-sorted) — legacy collections
- * register only counters/averages, so their dumps are byte-stable.
+ * The text dump prints counters first, then averages, then gauges
+ * (each section name-sorted) — legacy collections register only
+ * counters/averages, so their dumps are byte-stable.
  */
 class StatsRegistry
 {
@@ -44,42 +44,12 @@ class StatsRegistry
     /** Get (creating on first use) a gauge by name. */
     Gauge &gauge(const std::string &name) { return gauges_[name]; }
 
-    /** Get (creating on first use) a histogram by name; the bucket
-     *  geometry is fixed by whoever registers it first. */
-    Histogram &
-    histogram(const std::string &name, std::uint64_t bucket_width = 1,
-              std::size_t num_buckets = 64)
-    {
-        auto it = histograms_.find(name);
-        if (it == histograms_.end())
-            it = histograms_
-                     .emplace(name, Histogram(bucket_width, num_buckets))
-                     .first;
-        return it->second;
-    }
-
     /** Read a counter value; 0 when absent. */
     std::uint64_t
     counterValue(const std::string &name) const
     {
         auto it = counters_.find(name);
         return it == counters_.end() ? 0 : it->second.value();
-    }
-
-    /** Read an average; 0 when absent. */
-    double
-    averageValue(const std::string &name) const
-    {
-        auto it = averages_.find(name);
-        return it == averages_.end() ? 0.0 : it->second.mean();
-    }
-
-    /** Read a gauge; 0 when absent. */
-    double
-    gaugeValue(const std::string &name) const
-    {
-        auto it = gauges_.find(name);
-        return it == gauges_.end() ? 0.0 : it->second.value();
     }
 
     /** Sum all counters whose name starts with the given prefix. */
@@ -109,11 +79,6 @@ class StatsRegistry
 
     const std::map<std::string, Gauge> &gauges() const { return gauges_; }
 
-    const std::map<std::string, Histogram> &histograms() const
-    {
-        return histograms_;
-    }
-
     /** Dump every statistic as "name value" lines. */
     void
     dump(std::ostream &os) const
@@ -124,9 +89,6 @@ class StatsRegistry
             os << name << " " << a.mean() << " (n=" << a.count() << ")\n";
         for (const auto &[name, g] : gauges_)
             os << name << " " << g.value() << "\n";
-        for (const auto &[name, h] : histograms_)
-            os << name << " " << h.mean() << " (total=" << h.total()
-               << ", p95=" << h.percentile(0.95) << ")\n";
     }
 
     /** Clear all statistics (values and registrations). */
@@ -136,14 +98,12 @@ class StatsRegistry
         counters_.clear();
         averages_.clear();
         gauges_.clear();
-        histograms_.clear();
     }
 
   private:
     std::map<std::string, Counter> counters_;
     std::map<std::string, Average> averages_;
     std::map<std::string, Gauge> gauges_;
-    std::map<std::string, Histogram> histograms_;
 };
 
 /**
@@ -179,13 +139,6 @@ class StatsScope
     Gauge &gauge(const std::string &name) const
     {
         return reg_.gauge(join(name));
-    }
-
-    Histogram &
-    histogram(const std::string &name, std::uint64_t bucket_width = 1,
-              std::size_t num_buckets = 64) const
-    {
-        return reg_.histogram(join(name), bucket_width, num_buckets);
     }
 
     const std::string &prefix() const { return prefix_; }

@@ -500,9 +500,9 @@ TEST(BatchedEmaEquivalence, MonitorNmaxTrajectoryMatchesPerAccessMode)
         ASSERT_EQ(batched.nmax(), compat.nmax()) << "reference " << n;
         if (n % 257 == 0) {
             // Mid-period reads flush the buffers: still identical.
-            ASSERT_EQ(batched.hrConventional(), compat.hrConventional());
-            ASSERT_EQ(batched.hrReference(), compat.hrReference());
-            ASSERT_EQ(batched.hrExplorer(), compat.hrExplorer());
+            ASSERT_EQ(batched.emaConventional(), compat.emaConventional());
+            ASSERT_EQ(batched.emaReference(), compat.emaReference());
+            ASSERT_EQ(batched.emaExplorer(), compat.emaExplorer());
         }
     }
     EXPECT_EQ(batched.increments(), compat.increments());

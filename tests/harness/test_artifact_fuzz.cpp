@@ -369,11 +369,13 @@ withSnapshotCrc(std::string body)
 
 TEST(SnapshotFuzz, EspNucaCheckpoint)
 {
-    // A real warmup checkpoint of a small esp-nuca machine (256 KB of
-    // L2 keeps each case cheap; every section is still present).
+    // Real warmup checkpoints of a small esp-nuca machine (256 KB of
+    // L2 keeps each case cheap; every section is still present), one
+    // unsampled and one whose sampler section carries a timeseries.
     SystemConfig cfg;
     cfg.l2SizeBytes = 256 * 1024;
     constexpr std::uint64_t kSeed = 5;
+    constexpr Cycle kInterval = 2000;
     const std::string dir =
         (std::filesystem::temp_directory_path() /
          ("espnuca_fuzz_snapshot_" + std::to_string(::getpid())))
@@ -381,14 +383,16 @@ TEST(SnapshotFuzz, EspNucaCheckpoint)
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
     const std::string path = dir + "/point.ckpt";
-    simulatePhased(cfg, "esp-nuca", "apache", 1000, kSeed, 0.5, nullptr,
-                   path);
-    std::string file;
-    {
+    const auto checkpoint = [&](Cycle interval) {
+        std::filesystem::remove(path);
+        simulatePhased(cfg, "esp-nuca", "apache", 1000, kSeed, 0.5,
+                       nullptr, path, nullptr, nullptr, interval);
         std::ifstream in(path, std::ios::binary);
-        file.assign(std::istreambuf_iterator<char>(in),
-                    std::istreambuf_iterator<char>());
-    }
+        return std::string(std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>());
+    };
+    const std::string file = checkpoint(0);
+    const std::string sampled = checkpoint(kInterval);
     ASSERT_GT(file.size(), 4u);
     const SnapshotIdentity id = SnapshotReader::fromFile(path).header();
     const Workload tail = makeWorkload("apache", cfg, 500, kSeed);
@@ -396,23 +400,29 @@ TEST(SnapshotFuzz, EspNucaCheckpoint)
     // The warm-restore path of simulatePhased, minus the fallback: a
     // SnapshotError (checksum mismatch included) or a foreign identity
     // is a rejection.
-    const auto read = [&](const std::string &image) {
-        std::ofstream(path, std::ios::binary | std::ios::trunc) << image;
-        try {
-            SnapshotReader r = SnapshotReader::fromFile(path);
-            if (!(r.header() == id))
+    const auto reader = [&](Cycle interval) {
+        return [&, interval](const std::string &image) {
+            std::ofstream(path, std::ios::binary | std::ios::trunc)
+                << image;
+            try {
+                SnapshotReader r = SnapshotReader::fromFile(path);
+                if (!(r.header() == id))
+                    return false;
+                System sys(cfg, "esp-nuca", "apache",
+                           std::vector<std::unique_ptr<TraceSource>>(
+                               cfg.numCores),
+                           kSeed, 0.0, 0, nullptr);
+                if (interval > 0)
+                    sys.enableMetrics(interval);
+                sys.loadSnapshot(r, tail, kSeed);
+                r.finish();
+                return true;
+            } catch (const SnapshotError &) {
                 return false;
-            System sys(cfg, "esp-nuca", "apache",
-                       std::vector<std::unique_ptr<TraceSource>>(
-                           cfg.numCores),
-                       kSeed, 0.0, 0, nullptr);
-            sys.loadSnapshot(r, tail, kSeed);
-            r.finish();
-            return true;
-        } catch (const SnapshotError &) {
-            return false;
-        }
+            }
+        };
     };
+    const auto read = reader(0);
     constexpr int kSnapshotCases = 400;
     const Tally raw = fuzz(file, 8, asIs, read, kSnapshotCases);
     EXPECT_EQ(raw.accepted, 0u) << "a mutant passed the checksum";
@@ -420,6 +430,26 @@ TEST(SnapshotFuzz, EspNucaCheckpoint)
                             withSnapshotCrc, read, kSnapshotCases);
     EXPECT_GT(body.accepted, 0u);
     EXPECT_GT(body.rejected, 0u);
+
+    // Sampling does not perturb the machine state, so the sampled
+    // body lays out like the unsampled one (only the event-queue
+    // counters differ in value) up to the closing sampler flag, which
+    // is followed by the sampler section (interval, name table,
+    // values). Mutating only the bytes past the flag lands every
+    // mutation in that section.
+    const std::size_t flag = file.size() - 5;
+    ASSERT_EQ(file[flag], 0);
+    ASSERT_EQ(sampled[flag], 1);
+    const std::string prefix = sampled.substr(0, flag + 1);
+    const std::string section =
+        sampled.substr(prefix.size(), sampled.size() - 4 - prefix.size());
+    ASSERT_GT(section.size(), 64u);
+    const Tally samples = fuzz(
+        section, 12,
+        [&prefix](std::string s) { return withSnapshotCrc(prefix + s); },
+        reader(kInterval), kSnapshotCases / 2);
+    EXPECT_GT(samples.accepted, 0u);
+    EXPECT_GT(samples.rejected, 0u);
     std::filesystem::remove_all(dir);
 }
 

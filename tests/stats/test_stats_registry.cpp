@@ -26,8 +26,8 @@ TEST(StatsRegistry, AveragesTrackMean)
     StatsRegistry r;
     r.average("lat").record(10.0);
     r.average("lat").record(20.0);
-    EXPECT_DOUBLE_EQ(r.averageValue("lat"), 15.0);
-    EXPECT_DOUBLE_EQ(r.averageValue("absent"), 0.0);
+    EXPECT_DOUBLE_EQ(r.averages().at("lat").mean(), 15.0);
+    EXPECT_EQ(r.averages().count("absent"), 0u);
 }
 
 TEST(StatsRegistry, SumByPrefix)
@@ -59,12 +59,10 @@ TEST(StatsRegistry, ResetClearsEverything)
     r.counter("x").inc();
     r.average("y").record(1.0);
     r.gauge("g").set(3.0);
-    r.histogram("h").record(7);
     r.reset();
     EXPECT_EQ(r.counterValue("x"), 0u);
-    EXPECT_DOUBLE_EQ(r.averageValue("y"), 0.0);
-    EXPECT_DOUBLE_EQ(r.gaugeValue("g"), 0.0);
-    EXPECT_TRUE(r.histograms().empty());
+    EXPECT_TRUE(r.averages().empty());
+    EXPECT_TRUE(r.gauges().empty());
 }
 
 TEST(StatsRegistry, GaugesHoldLastSetValue)
@@ -72,21 +70,8 @@ TEST(StatsRegistry, GaugesHoldLastSetValue)
     StatsRegistry r;
     r.gauge("watchdog.armed").set(1.0);
     r.gauge("watchdog.armed").set(0.0);
-    EXPECT_DOUBLE_EQ(r.gaugeValue("watchdog.armed"), 0.0);
-    EXPECT_DOUBLE_EQ(r.gaugeValue("absent"), 0.0);
-}
-
-TEST(StatsRegistry, HistogramGeometryFixedByFirstRegistrant)
-{
-    StatsRegistry r;
-    Histogram &h = r.histogram("lat", 10, 8);
-    h.record(5);
-    h.record(25);
-    // A second lookup with different geometry returns the same
-    // histogram, geometry unchanged.
-    Histogram &again = r.histogram("lat", 999, 2);
-    EXPECT_EQ(&h, &again);
-    EXPECT_EQ(again.total(), 2u);
+    EXPECT_DOUBLE_EQ(r.gauges().at("watchdog.armed").value(), 0.0);
+    EXPECT_EQ(r.gauges().count("absent"), 0u);
 }
 
 TEST(StatsRegistry, ScopeJoinsDottedPaths)
@@ -98,17 +83,16 @@ TEST(StatsRegistry, ScopeJoinsDottedPaths)
     bank.gauge("nmax").set(4.0);
     EXPECT_EQ(bank.prefix(), "bank.3");
     EXPECT_EQ(r.counterValue("bank.3.evictions"), 2u);
-    EXPECT_DOUBLE_EQ(r.averageValue("bank.3.occupancy"), 0.5);
-    EXPECT_DOUBLE_EQ(r.gaugeValue("bank.3.nmax"), 4.0);
+    EXPECT_DOUBLE_EQ(r.averages().at("bank.3.occupancy").mean(), 0.5);
+    EXPECT_DOUBLE_EQ(r.gauges().at("bank.3.nmax").value(), 4.0);
 }
 
 TEST(StatsRegistry, DumpSectionsInFixedOrder)
 {
-    // Counters, then averages, then gauges, then histograms — legacy
-    // dumps (counters + averages only) must stay byte-stable, so the
-    // new sections always trail.
+    // Counters, then averages, then gauges — legacy dumps (counters +
+    // averages only) must stay byte-stable, so the gauge section
+    // always trails.
     StatsRegistry r;
-    r.histogram("ahist").record(1);
     r.gauge("agauge").set(1.0);
     r.average("aavg").record(1.0);
     r.counter("zcounter").inc();
@@ -117,7 +101,6 @@ TEST(StatsRegistry, DumpSectionsInFixedOrder)
     const std::string out = os.str();
     EXPECT_LT(out.find("zcounter"), out.find("aavg"));
     EXPECT_LT(out.find("aavg"), out.find("agauge"));
-    EXPECT_LT(out.find("agauge"), out.find("ahist"));
 }
 
 } // namespace

@@ -6,12 +6,14 @@
 #   tools/bench_perf.sh [output.json]
 #
 # Runs:
-#   - tools/perf_e2e.py: one perfbench run (10 s, --trace 0, seed 1) per
-#     benchmark workload (apache-esp, mcf4-esp, CG-shared); refs_per_s
-#     lands in the "e2e" section, and a run that reports failed > 0
-#     stops the script,
+#   - tools/perf_e2e.py: three perfbench runs (10 s, --trace 0, seeds
+#     1-3) per benchmark workload (apache-esp, mcf4-esp, CG-shared); the
+#     median refs_per_s lands in the "e2e" section, and a run that
+#     reports failed > 0 stops the script,
 #   - bench/fig07_onchip_offchip --json results/fig07_onchip_offchip.json
-#     (Release) as the figure-bench smoke (wall time recorded),
+#     (Release) as the figure-bench smoke, its wall time recorded with
+#     the worker count it ran on (ESPNUCA_JOBS, default 1) so the
+#     figure tracks the code, not the host's core count,
 #   - the sharded sweep engine: a small fig07 grid as two sequential
 #     shards + espnuca-merge (byte-compared against the unsharded
 #     document) with the sweep wall-clock recorded, and a cold-vs-warm
@@ -26,7 +28,7 @@
 #
 # Output schema (BENCH_core.json):
 #   { "e2e": { "<workload>": { "refs_per_s" } },
-#     "fig07": { "wall_seconds", "json_path" },
+#     "fig07": { "wall_seconds", "jobs", "json_path" },
 #     "sweep": { "two_shard_fig07_wall_seconds",
 #                "warm_restore": { "cold_seconds", "warm_seconds",
 #                                  "speedup" } },
@@ -40,17 +42,18 @@
 # previous document unchanged.
 #
 # Environment: ESPNUCA_OPS / ESPNUCA_RUNS / ESPNUCA_JOBS thread through
-# to fig07 as in every figure bench.
+# to fig07 as in every figure bench; ESPNUCA_JOBS defaults to 1 here.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 OUT="${1:-BENCH_core.json}"
+FIG07_JOBS="${ESPNUCA_JOBS:-1}"
 
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
 cmake --build build-release -j --target fig07_onchip_offchip \
     espnuca-sim espnuca-merge espnuca-report > /dev/null
 
-echo "== bench_perf: perfbench refs_per_s (10 s per workload) =="
+echo "== bench_perf: perfbench refs_per_s (median of 3 x 10 s per workload) =="
 E2E_JSON=$(mktemp)
 python3 tools/perf_e2e.py apache-esp mcf4-esp CG-shared > "$E2E_JSON"
 
@@ -58,8 +61,8 @@ echo "== bench_perf: fig07_onchip_offchip --json =="
 mkdir -p results
 FIG07_JSON=results/fig07_onchip_offchip.json
 FIG07_START=$(date +%s.%N)
-./build-release/bench/fig07_onchip_offchip --json "$FIG07_JSON" \
-    > /dev/null
+ESPNUCA_JOBS="$FIG07_JOBS" ./build-release/bench/fig07_onchip_offchip \
+    --json "$FIG07_JSON" > /dev/null
 FIG07_END=$(date +%s.%N)
 
 echo "== bench_perf: sharded sweep (2 shards + merge, byte compare) =="
@@ -98,20 +101,21 @@ LOC=$(find src tools \( -name '*.hpp' -o -name '*.cpp' \) -exec cat {} + |
 # below diffs it against the committed baseline before it replaces it.
 NEW_JSON=$(mktemp)
 python3 - "$E2E_JSON" "$NEW_JSON" "$FIG07_JSON" \
-    "$FIG07_START" "$FIG07_END" \
+    "$FIG07_START" "$FIG07_END" "$FIG07_JOBS" \
     "$SWEEP_START" "$SWEEP_END" "$COLD_START" "$COLD_END" \
     "$WARM_END" "$LOC" "$OUT" <<'PY'
 import json, os, sys
 
-(e2e_path, out_path, fig07_path, t0, t1,
+(e2e_path, out_path, fig07_path, t0, t1, fig07_jobs,
  sweep_t0, sweep_t1, cold_t0, cold_t1, warm_t1, loc,
- prev_path) = sys.argv[1:13]
+ prev_path) = sys.argv[1:14]
 with open(e2e_path) as f:
     report = json.load(f)
 
 report.update({
     "fig07": {
         "wall_seconds": round(float(t1) - float(t0), 2),
+        "jobs": int(fig07_jobs),
         "json_path": fig07_path,
     },
     # Sharded sweep engine: wall clock of the two-shard fig07 sweep

@@ -13,12 +13,15 @@ least one *complete* transaction span ("ph":"X", cat "tx"), and that
 span correlates (via args.tx) with at least one bank-probe and one
 mesh-hop event — i.e. a full transaction lifecycle was captured.
 RUN_JSON, if given, is the --json output of the same run and must carry
-a non-empty "timeseries" whose per-bank entries expose nmax and the
-three set-class EMAs (hr_ref / hr_conv / hr_exp).
+a non-empty "timeseries" of {"cycle", "counters"} samples whose last
+sample has, for every bank, the StatsRegistry names bank.<b>.nmax and
+the three set-class EMAs bank.<b>.hr_ref / hr_conv / hr_exp, plus the
+system series in EXPECTED_COUNTERS.
 
 --counters: the same trace must additionally carry the epoch-telemetry
-counter tracks (pid 5, "ph":"C"): every expected series present, at
-least one sample each, timestamps non-decreasing per series.
+counter tracks (pid 5, "ph":"C", one track per sampled registry name):
+every series in EXPECTED_COUNTERS present, at least one sample each,
+timestamps non-decreasing per series.
 
 --swarm: validates an espnuca-top --perfetto swarm timeline: per-shard
 process_name metadata, at least one completed-point slice ("ph":"X",
@@ -39,8 +42,11 @@ import json
 import sys
 
 EXPECTED_COUNTERS = {
-    "mshr_depth", "in_flight", "mesh_flits", "link_wait", "mem_accesses",
+    "proto.mshrs", "proto.in_flight", "mesh.flits", "mesh.link_wait",
+    "mc.0.accesses",
 }
+
+BANK_SERIES = ("nmax", "hr_ref", "hr_conv", "hr_exp")
 
 TERMINAL_EVENTS = {
     "point-finish", "point-skip", "point-quarantine-skip",
@@ -92,13 +98,20 @@ def check_run(path: str) -> None:
     series = runs[0].get("timeseries")
     if not series:
         fail(f"{path}: run 0 has no (or an empty) timeseries")
-    banks = series[-1].get("banks")
+    if any(not isinstance(s.get("cycle"), int) for s in series):
+        fail(f"{path}: a sample lacks its cycle")
+    counters = series[-1].get("counters")
+    if not counters:
+        fail(f"{path}: last sample has no counters object")
+    banks = {name.split(".")[1] for name in counters
+             if name.startswith("bank.") and name.endswith(".demand")}
     if not banks:
-        fail(f"{path}: last sample has no banks array")
-    needed = {"nmax", "hr_ref", "hr_conv", "hr_exp"}
-    missing = needed - set(banks[0])
+        fail(f"{path}: last sample has no bank.<b>.demand series")
+    needed = EXPECTED_COUNTERS | {f"bank.{b}.{leaf}" for b in banks
+                                  for leaf in BANK_SERIES}
+    missing = needed - set(counters)
     if missing:
-        fail(f"{path}: bank metrics missing {sorted(missing)}")
+        fail(f"{path}: timeseries missing {sorted(missing)[:8]}")
     print(f"check_trace: OK: {len(series)} sample(s), "
           f"{len(banks)} bank(s) with nmax + set-class EMAs")
 

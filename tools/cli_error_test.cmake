@@ -1,7 +1,7 @@
-# Bad-input check for espnuca-sim: run it with ARGS (space-separated;
+# Bad-input check for a tool (SIM): run it with ARGS (space-separated;
 # the token %WORKDIR% names a fresh, empty directory and %FILE% an
-# empty regular file) and require exit code 2 plus an error on stderr
-# matching EXPECT.
+# empty regular file) under the optional ENV assignment, and require
+# exit code 2 plus an error on stderr matching EXPECT.
 file(REMOVE_RECURSE ${WORKDIR})
 file(MAKE_DIRECTORY ${WORKDIR})
 file(WRITE ${WORKDIR}.file "")
@@ -9,7 +9,7 @@ string(REPLACE "%FILE%" "${WORKDIR}.file" args "${ARGS}")
 string(REPLACE "%WORKDIR%" "${WORKDIR}" args "${args}")
 separate_arguments(args UNIX_COMMAND "${args}")
 execute_process(
-    COMMAND ${SIM} ${args}
+    COMMAND ${CMAKE_COMMAND} -E env ${ENV} ${SIM} ${args}
     RESULT_VARIABLE r
     ERROR_VARIABLE err
     OUTPUT_QUIET

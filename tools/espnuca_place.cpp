@@ -32,9 +32,11 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/parse_num.hpp"
 #include "common/rng.hpp"
 #include "net/placement.hpp"
 #include "workload/presets.hpp"
@@ -339,7 +341,7 @@ bool
 parseOptions(int argc, char **argv, Options &o)
 {
     o.system.memControllers = 4;
-    bool banksSet = false, meshSet = false;
+    bool banksSet = false;
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
         auto next = [&]() -> const char * {
@@ -349,38 +351,34 @@ parseOptions(int argc, char **argv, Options &o)
             }
             return argv[++i];
         };
+        // A number flag takes a plain decimal in its field's range; any
+        // other value exits 2 naming the flag.
+        auto num = [&](std::uint64_t max = ~std::uint64_t{0}) {
+            return parseOrExit([&] { return parseUnsigned(next(), a, max); });
+        };
         if (a == "--help" || a == "-h") {
             std::exit(usage(0));
         } else if (a == "--cores") {
-            o.system.numCores =
-                static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
+            o.system.numCores = static_cast<std::uint32_t>(num(kMaxU32));
         } else if (a == "--banks") {
-            o.system.l2Banks =
-                static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
+            o.system.l2Banks = static_cast<std::uint32_t>(num(kMaxU32));
             banksSet = true;
         } else if (a == "--mem") {
             o.system.memControllers =
-                static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
+                static_cast<std::uint32_t>(num(kMaxU32));
         } else if (a == "--mesh") {
-            const std::string v = next();
-            const auto x = v.find('x');
-            if (x == std::string::npos)
-                return false;
-            o.system.meshCols = static_cast<std::uint32_t>(
-                std::strtoul(v.substr(0, x).c_str(), nullptr, 10));
-            o.system.meshRows = static_cast<std::uint32_t>(
-                std::strtoul(v.substr(x + 1).c_str(), nullptr, 10));
-            meshSet = true;
+            std::tie(o.system.meshCols, o.system.meshRows) =
+                parseOrExit([&] { return parseGrid(next(), a); });
         } else if (a == "--workload") {
             o.workload = next();
         } else if (a == "--mode") {
             o.mode = next();
         } else if (a == "--iters") {
-            o.iters = std::strtoull(next(), nullptr, 10);
+            o.iters = num();
         } else if (a == "--seed") {
-            o.seed = std::strtoull(next(), nullptr, 10);
+            o.seed = num();
         } else if (a == "--max-states") {
-            o.maxStates = std::strtoull(next(), nullptr, 10);
+            o.maxStates = num();
         } else if (a == "--out") {
             o.outFile = next();
         } else if (a == "--require-improvement") {
@@ -392,7 +390,6 @@ parseOptions(int argc, char **argv, Options &o)
             return false;
         }
     }
-    (void)meshSet;
     if (!banksSet)
         o.system.l2Banks = 4 * o.system.numCores;
     // Keep 256 KB banks so any bank count yields a power-of-two set

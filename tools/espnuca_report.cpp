@@ -39,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parse_num.hpp"
 #include "harness/json.hpp"
 #include "harness/json_parse.hpp"
 
@@ -144,18 +145,9 @@ main(int argc, char **argv)
             baselinePath = next();
         else if (a == "--new")
             newPath = next();
-        else if (a == "--threshold") {
-            const char *text = next();
-            char *end = nullptr;
-            threshold = std::strtod(text, &end);
-            if (end == text || *end != '\0' || !std::isfinite(threshold) ||
-                threshold < 0.0) {
-                std::fprintf(stderr,
-                             "espnuca-report: --threshold wants a finite "
-                             "number >= 0, got '%s'\n", text);
-                return 2;
-            }
-        }
+        else if (a == "--threshold")
+            threshold = espnuca::parseOrExit(
+                [&] { return espnuca::parseReal(next(), a); });
         else if (a == "--only")
             only = next();
         else if (a == "--json")

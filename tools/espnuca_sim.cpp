@@ -9,24 +9,8 @@
  *   espnuca-sim --arch esp-nuca --workload oltp --record-trace /tmp/t
  *   espnuca-sim --arch private --replay-trace /tmp/t --cores 8
  *
- * Overridable system parameters (Table 2 defaults otherwise):
- *   --l2-mb N  --banks N  --ways N  --mem-latency N  --cores N
- *   --window N  --mshrs N  --d N (monitor degradation shift)
- *   --mesh CxR  --placement paper-4x3|tiled|@FILE (see net/placement.hpp)
- * Run control:
- *   --ops N  --seed N  --runs N  --jobs N  --warmup F  --json  --csv
- * Robustness:
- *   --fault-plan SPEC    inject faults (see src/fault/fault_plan.hpp)
- *   --watchdog N         fail after N cycles without forward progress
- *   --max-cycles N       absolute simulated-cycle ceiling
- *   --retries N          attempts per run before reporting a failure
- * Observability (see src/obs/):
- *   --trace-out FILE     Chrome/Perfetto transaction trace (run 0)
- *   --trace-filter W     restrict the trace: all | tx | bank | core
- *   --metrics-interval N sample epoch telemetry every N cycles
- *   --prof               wall-clock self-profiling (prof.* section)
- *
- * Options also accept the --opt=value spelling.
+ * usage() below is the one list of options (`--help` prints it);
+ * options also accept the --opt=value spelling.
  */
 
 #include <cstdio>
@@ -38,8 +22,10 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "common/parse_num.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "harness/report.hpp"
@@ -129,12 +115,6 @@ usage(int code)
     std::exit(code);
 }
 
-std::uint64_t
-parseU64(const char *s)
-{
-    return std::strtoull(s, nullptr, 10);
-}
-
 Options
 parse(int argc, char **argv)
 {
@@ -162,6 +142,11 @@ parse(int argc, char **argv)
             }
             return argv[++i];
         };
+        // A number flag takes a plain decimal in its field's range; any
+        // other value exits 2 naming the flag.
+        auto num = [&](std::uint64_t max = kMaxU32) {
+            return parseOrExit([&] { return parseUnsigned(next(), a, max); });
+        };
         if (a == "--help" || a == "-h") {
             usage(0);
         } else if (a == "--list-archs") {
@@ -180,15 +165,15 @@ parse(int argc, char **argv)
         } else if (a == "--workload") {
             o.workload = next();
         } else if (a == "--ops") {
-            o.ops = parseU64(next());
+            o.ops = num(~std::uint64_t{0});
         } else if (a == "--seed") {
-            o.seed = parseU64(next());
+            o.seed = num(~std::uint64_t{0});
         } else if (a == "--runs") {
-            o.runs = static_cast<std::uint32_t>(parseU64(next()));
+            o.runs = static_cast<std::uint32_t>(num());
         } else if (a == "--jobs") {
-            o.jobs = static_cast<std::uint32_t>(parseU64(next()));
+            o.jobs = static_cast<std::uint32_t>(num());
         } else if (a == "--warmup") {
-            o.warmup = std::atof(next());
+            o.warmup = parseOrExit([&] { return parseReal(next(), a, 1.0); });
         } else if (a == "--json") {
             o.json = true;
         } else if (a == "--stats") {
@@ -202,11 +187,11 @@ parse(int argc, char **argv)
         } else if (a == "--fault-plan") {
             o.faultPlan = next();
         } else if (a == "--watchdog") {
-            o.system.watchdogStallCycles = parseU64(next());
+            o.system.watchdogStallCycles = num(~std::uint64_t{0});
         } else if (a == "--max-cycles") {
-            o.system.watchdogMaxCycles = parseU64(next());
+            o.system.watchdogMaxCycles = num(~std::uint64_t{0});
         } else if (a == "--retries") {
-            o.retries = static_cast<std::uint32_t>(parseU64(next()));
+            o.retries = static_cast<std::uint32_t>(num());
         } else if (a == "--checkpoint") {
             o.checkpointDir = next();
         } else if (a == "--shard") {
@@ -231,44 +216,28 @@ parse(int argc, char **argv)
                 usage(2);
             }
         } else if (a == "--metrics-interval") {
-            o.metricsInterval = parseU64(next());
+            o.metricsInterval = num(~std::uint64_t{0});
         } else if (a == "--prof") {
             o.prof = true;
         } else if (a == "--l2-mb") {
-            o.system.l2SizeBytes = parseU64(next()) << 20;
+            o.system.l2SizeBytes = num(~std::uint64_t{0} >> 20) << 20;
         } else if (a == "--banks") {
-            o.system.l2Banks =
-                static_cast<std::uint32_t>(parseU64(next()));
+            o.system.l2Banks = static_cast<std::uint32_t>(num());
         } else if (a == "--ways") {
-            o.system.l2Ways =
-                static_cast<std::uint32_t>(parseU64(next()));
+            o.system.l2Ways = static_cast<std::uint32_t>(num());
         } else if (a == "--mem-latency") {
-            o.system.memLatency = parseU64(next());
+            o.system.memLatency = num(~std::uint64_t{0});
         } else if (a == "--cores") {
-            o.system.numCores =
-                static_cast<std::uint32_t>(parseU64(next()));
+            o.system.numCores = static_cast<std::uint32_t>(num());
         } else if (a == "--window") {
-            o.system.windowSize =
-                static_cast<std::uint32_t>(parseU64(next()));
+            o.system.windowSize = static_cast<std::uint32_t>(num());
         } else if (a == "--mshrs") {
-            o.system.maxOutstanding =
-                static_cast<std::uint32_t>(parseU64(next()));
+            o.system.maxOutstanding = static_cast<std::uint32_t>(num());
         } else if (a == "--d") {
-            o.system.degradationShift =
-                static_cast<std::uint32_t>(parseU64(next()));
+            o.system.degradationShift = static_cast<std::uint32_t>(num());
         } else if (a == "--mesh") {
-            const std::string v = next();
-            const std::size_t x = v.find('x');
-            if (x == std::string::npos) {
-                std::fprintf(stderr,
-                             "--mesh expects CxR (e.g. 8x4), got %s\n",
-                             v.c_str());
-                usage(2);
-            }
-            o.system.meshCols = static_cast<std::uint32_t>(
-                parseU64(v.substr(0, x).c_str()));
-            o.system.meshRows = static_cast<std::uint32_t>(
-                parseU64(v.substr(x + 1).c_str()));
+            std::tie(o.system.meshCols, o.system.meshRows) =
+                parseOrExit([&] { return parseGrid(next(), a); });
         } else if (a == "--placement") {
             std::string v = next();
             if (!v.empty() && v[0] == '@') {

@@ -13,16 +13,10 @@
  * results directory, and a point that keeps killing its worker is
  * quarantined into DIR/quarantine.json after N organic deaths so the
  * rest of the grid still completes. espnuca-merge folds quarantined
- * points into the merged document's `failures` array.
- *
- *   --chaos RATE        randomly SIGKILL workers (expected kills/sec);
- *                       the crash-safety acceptance mode — induced
- *                       kills are never charged against a point
- *   --chaos-seed N      make a chaos run reproducible
- *   --stall-timeout MS  heartbeat silence before a worker is stalled
- *   --poll MS           supervision poll interval
- *   --quarantine-after N  organic deaths before a point is blacklisted
- *   --max-restarts N    per-shard restart budget before giving up
+ * points into the merged document's `failures` array. `--chaos RATE`
+ * randomly SIGKILLs workers (expected kills/sec), the crash-safety
+ * acceptance mode: induced kills are never charged against a point.
+ * usage() below is the one list of options (`--help` prints it).
  *
  * Exit status: 0 when every shard completed (quarantined points are
  * reported, not fatal), 1 when any shard exhausted its restart budget,
@@ -35,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parse_num.hpp"
 #include "harness/supervisor.hpp"
 
 using namespace espnuca;
@@ -68,12 +63,6 @@ usage(int code)
     std::exit(code);
 }
 
-std::uint64_t
-parseU64(const char *s)
-{
-    return std::strtoull(s, nullptr, 10);
-}
-
 } // namespace
 
 int
@@ -91,30 +80,34 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        // A number flag takes a plain decimal (--chaos a real >= 0); any
+        // other value exits 2 naming the flag.
+        auto num = [&](std::uint64_t max = ~std::uint64_t{0}) {
+            return parseOrExit([&] { return parseUnsigned(next(), a, max); });
+        };
         if (a == "--help" || a == "-h") {
             usage(0);
         } else if (a == "--results-dir") {
             opts.resultsDir = next();
         } else if (a == "--shards") {
-            opts.shards = static_cast<std::uint32_t>(parseU64(next()));
+            opts.shards = static_cast<std::uint32_t>(num(kMaxU32));
         } else if (a == "--chaos") {
-            opts.chaosKillRate = std::atof(next());
+            opts.chaosKillRate =
+                parseOrExit([&] { return parseReal(next(), a); });
         } else if (a == "--chaos-seed") {
-            opts.chaosSeed = parseU64(next());
+            opts.chaosSeed = num();
         } else if (a == "--stall-timeout") {
-            opts.stallTimeoutMs = parseU64(next());
+            opts.stallTimeoutMs = num();
         } else if (a == "--poll") {
-            opts.pollMs = parseU64(next());
+            opts.pollMs = num();
         } else if (a == "--quarantine-after") {
-            opts.quarantineAfter =
-                static_cast<std::uint32_t>(parseU64(next()));
+            opts.quarantineAfter = static_cast<std::uint32_t>(num(kMaxU32));
         } else if (a == "--max-restarts") {
-            opts.maxRestarts =
-                static_cast<std::uint32_t>(parseU64(next()));
+            opts.maxRestarts = static_cast<std::uint32_t>(num(kMaxU32));
         } else if (a == "--backoff-ms") {
-            opts.backoffBaseMs = parseU64(next());
+            opts.backoffBaseMs = num();
         } else if (a == "--backoff-cap-ms") {
-            opts.backoffCapMs = parseU64(next());
+            opts.backoffCapMs = num();
         } else if (a == "--quiet") {
             opts.verbose = false;
         } else if (a == "--") {

@@ -30,6 +30,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -40,10 +41,12 @@
 #include <thread>
 #include <vector>
 
+#include "common/parse_num.hpp"
 #include "harness/json.hpp"
 #include "harness/ledger.hpp"
 #include "harness/supervisor.hpp"
 #include "harness/sweep.hpp"
+#include "obs/trace_export.hpp"
 
 namespace {
 
@@ -377,23 +380,23 @@ exportSwarmTrace(const std::string &dir, const SwarmStatus &swarm,
                      path.c_str());
         return false;
     }
+    using obs::detail::writeArgsOpen;
+    using obs::detail::writeEventCommon;
     const std::uint64_t base = swarm.firstWallMs;
     os << "{\"traceEvents\":[\n";
     bool first = true;
-    auto sep = [&os, &first]() {
-        if (!first)
-            os << ",\n";
-        first = false;
+    // An instant on track `pid`; the caller writes the args and "}}".
+    auto instant = [&os, &first](const std::string &name, const char *cat,
+                                 std::uint64_t ts, int pid) {
+        writeEventCommon(os, first, name.c_str(), cat, "i", ts, pid, 0);
+        os << ",\"s\":\"t\"";
+        writeArgsOpen(os);
     };
-    sep();
-    os << "  {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
-          "\"args\":{\"name\":\"supervisor\"}}";
-    for (const ShardStatus &s : swarm.shards) {
-        sep();
-        os << "  {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":"
-           << (2 + s.shard) << ",\"args\":{\"name\":\"shard-" << s.shard
-           << "\"}}";
-    }
+    obs::detail::writeProcessName(os, first, 1, "supervisor");
+    for (const ShardStatus &s : swarm.shards)
+        obs::detail::writeProcessName(
+            os, first, 2 + static_cast<int>(s.shard),
+            ("shard-" + std::to_string(s.shard)).c_str());
 
     for (const ShardStatus &s : swarm.shards) {
         std::ifstream in(
@@ -401,6 +404,7 @@ exportSwarmTrace(const std::string &dir, const SwarmStatus &swarm,
             std::ios::binary);
         if (!in)
             continue;
+        const int pid = 2 + static_cast<int>(s.shard);
         std::map<std::uint64_t, LedgerEvent> open; //!< hash -> start
         std::string line;
         while (std::getline(in, line)) {
@@ -416,39 +420,28 @@ exportSwarmTrace(const std::string &dir, const SwarmStatus &swarm,
                     it != open.end() ? it->second.wallMs - base
                                      : (ts >= e.value ? ts - e.value
                                                       : 0);
-                sep();
-                os << "  {\"name\":\"" << e.arch << "/" << e.workload
-                   << "\",\"cat\":\"point\",\"ph\":\"X\",\"ts\":"
-                   << start * 1000 << ",\"dur\":"
-                   << (ts - start) * 1000 << ",\"pid\":"
-                   << (2 + s.shard)
-                   << ",\"tid\":0,\"args\":{\"point_hash\":\""
-                   << digestHex(e.pointHash) << "\",\"index\":"
-                   << e.index << "}}";
+                writeEventCommon(os, first,
+                                 (e.arch + "/" + e.workload).c_str(),
+                                 "point", "X", start * 1000, pid, 0);
+                os << ",\"dur\":" << (ts - start) * 1000;
+                writeArgsOpen(os);
+                os << "\"point_hash\":\"" << digestHex(e.pointHash)
+                   << "\",\"index\":" << e.index << "}}";
                 open.erase(e.pointHash);
             } else if (e.event == "point-skip" ||
                        e.event == "point-quarantine-skip" ||
                        e.event == "point-redo") {
-                sep();
-                os << "  {\"name\":\"" << e.event
-                   << "\",\"cat\":\"point\",\"ph\":\"i\",\"ts\":"
-                   << ts * 1000 << ",\"pid\":" << (2 + s.shard)
-                   << ",\"tid\":0,\"s\":\"t\",\"args\":{\"point_hash\":"
-                      "\""
-                   << digestHex(e.pointHash) << "\"}}";
+                instant(e.event, "point", ts * 1000, pid);
+                os << "\"point_hash\":\"" << digestHex(e.pointHash)
+                   << "\"}}";
             }
         }
         // A point still open when the capture ended (live swarm or a
         // kill): degrade to an instant so it is not silently dropped.
         for (const auto &[hash, e] : open) {
-            sep();
-            os << "  {\"name\":\"" << e.arch << "/" << e.workload
-               << " (in flight)\",\"cat\":\"point\",\"ph\":\"i\","
-                  "\"ts\":"
-               << (e.wallMs - base) * 1000 << ",\"pid\":"
-               << (2 + s.shard)
-               << ",\"tid\":0,\"s\":\"t\",\"args\":{\"point_hash\":\""
-               << digestHex(hash) << "\"}}";
+            instant(e.arch + "/" + e.workload + " (in flight)", "point",
+                    (e.wallMs - base) * 1000, pid);
+            os << "\"point_hash\":\"" << digestHex(hash) << "\"}}";
         }
     }
 
@@ -466,13 +459,8 @@ exportSwarmTrace(const std::string &dir, const SwarmStatus &swarm,
                 e.event != "point-quarantine" &&
                 e.event != "worker-spawn" && e.event != "worker-exit")
                 continue;
-            sep();
-            os << "  {\"name\":\"" << e.event
-               << "\",\"cat\":\"swarm\",\"ph\":\"i\",\"ts\":"
-               << (e.wallMs - base) * 1000
-               << ",\"pid\":1,\"tid\":0,\"s\":\"t\",\"args\":{"
-                  "\"value\":"
-               << e.value << "}}";
+            instant(e.event, "swarm", (e.wallMs - base) * 1000, 1);
+            os << "\"value\":" << e.value << "}}";
         }
     }
     os << "\n],\"displayTimeUnit\":\"ns\"}\n";
@@ -516,9 +504,11 @@ main(int argc, char **argv)
         else if (a == "--follow")
             follow = true;
         else if (a == "--interval-ms")
-            intervalMs = std::strtoull(next(), nullptr, 10);
+            intervalMs =
+                parseOrExit([&] { return parseUnsigned(next(), a); });
         else if (a == "--iterations")
-            iterations = std::strtoull(next(), nullptr, 10);
+            iterations =
+                parseOrExit([&] { return parseUnsigned(next(), a); });
         else if (a == "--perfetto")
             perfetto = next();
         else if (a == "--help" || a == "-h")

@@ -1,7 +1,8 @@
 # Integration test: a traced, telemetry-sampled run must produce a
 # Perfetto-loadable trace with at least one complete transaction span
 # (correlated with a bank probe and a mesh hop) and a point JSON whose
-# timeseries carries the per-bank nmax and set-class EMAs.
+# timeseries carries the per-bank nmax and set-class EMAs
+# (bank.<b>.nmax / hr_ref / hr_conv / hr_exp registry names).
 file(REMOVE_RECURSE ${WORKDIR})
 file(MAKE_DIRECTORY ${WORKDIR})
 

@@ -9,7 +9,7 @@
  */
 
 #include <cstdio>
-#include <functional>
+#include <string>
 
 #include "harness/system.hpp"
 
@@ -63,42 +63,46 @@ main()
                     static_cast<unsigned long long>(victims));
     }
 
-    // Watch the victim population and nmax adapt during an ESP run.
+    // Watch the victim population and nmax adapt during an ESP run:
+    // the epoch sampler records every bank's counters every 150k cycles
+    // (bank.<b>.victims is the resident victim count).
     std::printf("\nESP-NUCA adaptation during the run (victims live in "
                 "the idle cores' shared space):\n");
-    std::printf("%-12s %14s %12s %10s\n", "cycle", "victims-resident",
-                "victims-made", "mean-nmax");
-    const Workload wl = singleHeavyThread(cfg, ops);
-    System sys(cfg, "esp-nuca", wl, 1);
-    auto &esp = dynamic_cast<EspNuca &>(sys.org());
-    EventQueue &eq = sys.eq();
-    auto report = [&](const char *note) {
-        std::uint64_t resident = 0;
-        for (BankId b = 0; b < esp.numBanks(); ++b)
-            resident += esp.bank(b).countClass(BlockClass::Victim);
-        std::printf("%-12llu %14llu %12llu %10.2f%s\n",
-                    static_cast<unsigned long long>(eq.now()),
-                    static_cast<unsigned long long>(resident),
-                    static_cast<unsigned long long>(
-                        esp.victimsCreated()),
-                    esp.meanNmax(), note);
-    };
-    // A read-only observer event every 150k cycles, re-armed only while
-    // the simulation still has real work (see EventQueue's aux-event
-    // accounting).
+    std::printf("%-12s %16s %10s\n", "cycle", "victims-resident",
+                "mean-nmax");
     constexpr Cycle kChunk = 150'000;
-    std::function<void()> sample = [&]() {
-        eq.noteAuxFired();
-        report("");
-        if (eq.now() < 8 * kChunk && eq.hasRealWork()) {
-            eq.noteAuxScheduled();
-            eq.schedule(kChunk, [&sample]() { sample(); });
-        }
+    System sys(cfg, "esp-nuca", singleHeavyThread(cfg, ops), 1);
+    sys.enableMetrics(kChunk);
+    const RunResult r = sys.run();
+    const auto ends = [](const std::string &s, const std::string &tail) {
+        return s.size() > tail.size() &&
+               s.compare(s.size() - tail.size(), tail.size(), tail) == 0;
     };
-    eq.noteAuxScheduled();
-    eq.scheduleAt(kChunk, [&sample]() { sample(); });
-    sys.run();
-    report("  (end)");
+    for (std::size_t k = 0; k < r.timeseries.size(); ++k) {
+        const bool last = k + 1 == r.timeseries.size();
+        if (k >= 8 && !last)
+            continue;
+        const obs::MetricsSample &s = r.timeseries[k];
+        std::uint64_t victims = 0, nmax = 0, banks = 0;
+        for (std::size_t i = 0; i < s.names->size(); ++i) {
+            const std::string &name = (*s.names)[i];
+            if (name.rfind("bank.", 0) != 0)
+                continue;
+            if (ends(name, ".victims")) {
+                victims += s.values[i];
+            } else if (ends(name, ".nmax")) {
+                nmax += s.values[i];
+                ++banks;
+            }
+        }
+        std::printf("%-12llu %16llu %10.2f%s\n",
+                    static_cast<unsigned long long>(s.cycle),
+                    static_cast<unsigned long long>(victims),
+                    banks == 0 ? 0.0
+                               : static_cast<double>(nmax) /
+                                     static_cast<double>(banks),
+                    last ? "  (end)" : "");
+    }
     std::printf("\nExpected: victims accumulate in remote home banks, "
                 "turning the idle 7 MB\ninto a victim cache for core 0; "
                 "private strands that capacity entirely.\n");

@@ -106,9 +106,10 @@ class HitRateMonitor
         }
     }
 
-    /** Estimated hit rates (diagnostics, sensitivity benches). Reads
-     *  flush the sample buffers so mid-period values match the
-     *  per-access-update mode exactly. */
+    /** Estimated hit rates (diagnostics, sensitivity benches, epoch
+     *  telemetry). Reads apply the buffered samples to a copy, so
+     *  mid-period values match the per-access-update mode exactly and
+     *  a read changes no state. */
     std::uint32_t emaConventional() const { return hrC_.raw(); }
     std::uint32_t emaReference() const { return hrR_.raw(); }
     std::uint32_t emaExplorer() const { return hrE_.raw(); }
@@ -205,11 +206,9 @@ class HitRateMonitor
         place(SetCategory::Explorer, cfg.explorerSamples);
     }
 
-    // mutable: raw() replays buffered samples (memo-style bookkeeping
-    // that never changes the observable estimate sequence).
-    mutable BatchedShiftEma hrC_;
-    mutable BatchedShiftEma hrR_;
-    mutable BatchedShiftEma hrE_;
+    BatchedShiftEma hrC_;
+    BatchedShiftEma hrR_;
+    BatchedShiftEma hrE_;
     std::uint32_t dShift_;
     std::uint32_t period_;
     bool batch_;

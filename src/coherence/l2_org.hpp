@@ -248,12 +248,10 @@ class L2Org
 };
 
 /**
- * Raw-callable probe (declared in protocol.hpp): defined here because
- * the body needs CacheBank and L2Org complete. Must mirror the ProbeFn
- * overload in protocol_search.cpp, which delegates to this template so
- * the semantics cannot drift.
+ * Bank probe (declared in protocol.hpp): defined here because the body
+ * needs CacheBank and L2Org complete.
  */
-template <typename CB, typename>
+template <typename CB>
 void
 Protocol::probe(Transaction &tx, BankId bank, std::uint32_t set_index,
                 ClassMask match, NodeId from_node, Cycle t, CB cb)

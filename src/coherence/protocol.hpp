@@ -73,13 +73,6 @@ struct ProbeResult
     BlockClass cls = BlockClass::Private;    //!< class when way != kNoWay
 };
 
-/**
- * Probe continuation: typed probe outcome and tag-check completion
- * time. Sized for the largest search closure (SP-NUCA's parallel
- * remote fan-out captures ~44 bytes); stays inline on the hot path.
- */
-using ProbeFn = InlineFn<void(const ProbeResult &, Cycle), 48>;
-
 /** One in-flight miss transaction. */
 struct Transaction
 {
@@ -220,24 +213,16 @@ class Protocol
      * completion (result.way == kNoWay on miss). The match mask models the tag
      * comparison, including the private bit — a trivially-copyable
      * class filter, so scheduling the probe allocates nothing for it.
+     *
+     * The continuation keeps its concrete type: the scheduled probe
+     * event captures the search lambda directly, so for the (trivially
+     * copyable) architecture continuations the whole closure relocates
+     * by memcpy and fires without an indirect dispatch, which matters
+     * at ~5 probes per ESP-NUCA transaction. Defined at the bottom of
+     * l2_org.hpp, where CacheBank and L2Org are complete; every
+     * architecture TU includes that header.
      */
-    void probe(Transaction &tx, BankId bank, std::uint32_t set_index,
-               ClassMask match, NodeId from_node, Cycle t, ProbeFn cb);
-
-    /**
-     * Raw-callable probe: identical semantics, but the continuation
-     * keeps its concrete type instead of being erased into a ProbeFn.
-     * The scheduled probe event then captures the search lambda
-     * directly — for the (trivially copyable) architecture
-     * continuations the whole closure relocates by memcpy and fires
-     * without an indirect dispatch, which matters at ~5 probes per
-     * ESP-NUCA transaction. Defined at the bottom of l2_org.hpp, where
-     * CacheBank and L2Org are complete; every architecture TU includes
-     * that header.
-     */
-    template <typename CB,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<CB>, ProbeFn>>>
+    template <typename CB>
     void probe(Transaction &tx, BankId bank, std::uint32_t set_index,
                ClassMask match, NodeId from_node, Cycle t, CB cb);
 
@@ -311,7 +296,7 @@ class Protocol
     }
 
     /** Number of transactions still in flight (drain check). */
-    std::size_t inFlight() const { return live_.size(); }
+    std::size_t inFlight() const { return mshrs_.size(); }
 
     /**
      * Erase the directory entries of blocks that left the chip and
@@ -320,9 +305,6 @@ class Protocol
      * so its directory then holds exactly the on-chip blocks.
      */
     void forgetOffChip();
-
-    /** Allocated MSHRs (epoch telemetry). */
-    std::size_t mshrCount() const { return mshrs_.size(); }
 
     /**
      * Register this component's statistics under the unified naming
@@ -405,9 +387,13 @@ class Protocol
     void
     debugForceTransition(std::uint64_t id, TxState to)
     {
-        auto it = live_.find(id);
-        ESP_ASSERT(it != live_.end(), "forcing a dead transaction");
-        transition(*it->second, to, eq_.now());
+        for (const auto &[key, tx] : mshrs_) {
+            if (tx->id == id) {
+                transition(*tx, to, eq_.now());
+                return;
+            }
+        }
+        ESP_PANIC("forcing a dead transaction");
     }
 
     /**
@@ -440,7 +426,7 @@ class Protocol
     void
     save(SnapshotWriter &w) const
     {
-        ESP_ASSERT(live_.empty() && locks_.empty() && mshrs_.empty(),
+        ESP_ASSERT(locks_.empty() && mshrs_.empty(),
                    "snapshot with transactions in flight");
         dir_.save(w);
         w.u32(static_cast<std::uint32_t>(l1s_.size()));
@@ -468,7 +454,7 @@ class Protocol
     void
     load(SnapshotReader &r)
     {
-        ESP_ASSERT(live_.empty() && locks_.empty() && mshrs_.empty(),
+        ESP_ASSERT(locks_.empty() && mshrs_.empty(),
                    "restore with transactions in flight");
         dir_.load(r);
         if (r.u32() != l1s_.size())
@@ -620,12 +606,11 @@ class Protocol
     std::vector<MemoryController> mcs_;
 
     // Hot-path bookkeeping: open-addressing tables (no per-entry heap
-    // nodes) and a slab for the Transaction objects themselves. live_
-    // maps id -> slab pointer; the id indirection is what lets late
-    // probe continuations detect a completed transaction safely.
+    // nodes) and a slab for the Transaction objects themselves. mshrs_
+    // is the in-flight registry: every transaction holds exactly one
+    // MSHR from access() to finish(), and merges add waiters, not keys.
     FlatMap<Addr, LockQueue> locks_;
     FlatMap<MshrKey, Transaction *, MshrKeyHash> mshrs_;
-    FlatMap<std::uint64_t, Transaction *> live_;
     Slab<Transaction> txSlab_;
     std::uint64_t nextId_ = 1;
 

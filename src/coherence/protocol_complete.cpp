@@ -44,11 +44,9 @@ Protocol::finish(Transaction *tx, Cycle completion)
         return;
     }
 
-    eq_.scheduleAt(completion, [this, id = tx->id, completion]() {
+    eq_.scheduleAt(completion, [this, tx, id = tx->id, completion]() {
         ESP_PROF_SCOPE("proto.finish");
-        auto it = live_.find(id);
-        ESP_ASSERT(it != live_.end(), "finishing a dead transaction");
-        Transaction *tx = it->second;
+        ESP_ASSERT(tx->id == id, "finishing a dead transaction");
         // The fill placement and the L1 fill below both probe the
         // block's directory entry; warm its slot while the transition
         // and attribution bookkeeping run.
@@ -106,7 +104,6 @@ Protocol::finish(Transaction *tx, Cycle completion)
                           tx->type == AccessType::Ifetch, tx->isWrite};
         mshrs_.erase(key);
         const Addr a = tx->addr;
-        live_.erase(it);
         txSlab_.release(tx); // slot may be reused by the next access
         ++completions_;      // watchdog forward-progress signal
         releaseLock(a);

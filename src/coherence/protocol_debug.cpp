@@ -18,7 +18,7 @@ std::array<std::size_t, kNumTxStates>
 Protocol::inFlightByState() const
 {
     std::array<std::size_t, kNumTxStates> hist{};
-    for (const auto &[id, tx] : live_)
+    for (const auto &[key, tx] : mshrs_)
         ++hist[static_cast<std::size_t>(tx->state)];
     return hist;
 }
@@ -26,7 +26,8 @@ Protocol::inFlightByState() const
 void
 Protocol::dumpDiagnostics(std::ostream &os) const
 {
-    os << "protocol state: " << live_.size() << " transaction(s) in flight, "
+    os << "protocol state: " << mshrs_.size()
+       << " transaction(s) in flight, "
        << locks_.size() << " block lock(s) held, " << mshrs_.size()
        << " MSHR(s) allocated, " << completions_ << " completed, "
        << droppedCompletions_ << " completion(s) dropped by fault plan\n";
@@ -49,8 +50,8 @@ Protocol::dumpDiagnostics(std::ostream &os) const
 
     // Sort by id for a deterministic dump regardless of hash order.
     std::vector<const Transaction *> txs;
-    txs.reserve(live_.size());
-    for (const auto &[id, tx] : live_)
+    txs.reserve(mshrs_.size());
+    for (const auto &[key, tx] : mshrs_)
         txs.push_back(tx);
     std::sort(txs.begin(), txs.end(),
               [](const Transaction *a, const Transaction *b) {

@@ -37,7 +37,7 @@ Protocol::~Protocol()
     // Transactions still in flight when the simulation is torn down
     // (e.g. a bounded runUntil) live on the slab; destroy them so
     // their waiter vectors are released.
-    for (auto &[id, tx] : live_)
+    for (auto &[key, tx] : mshrs_)
         txSlab_.release(tx);
 }
 
@@ -110,7 +110,6 @@ Protocol::access(CoreId c, AccessType t, Addr a, OpDone done)
     raw->issueTime = issue;
     raw->reqNode = topo_.coreNode(c);
     raw->waiters.push_back({issue, std::move(done)});
-    live_[raw->id] = raw;
     mshrs_[key] = raw;
     ++transactions_;
     // The L1 miss is the moment a reference becomes a transaction: the

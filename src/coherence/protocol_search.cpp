@@ -1,9 +1,9 @@
 /**
  * @file
- * Search stage of the transaction FSM: bank probes on behalf of the L2
- * organization, the typed resolution entries resolve(L2HitAt) /
- * resolve(L2MissAt) driving Searching -> {HitReturn, MissMemWait}, and
- * the parallel off-chip fetch (Figure 2b step 2).
+ * Search stage of the transaction FSM: the typed resolution entries
+ * resolve(L2HitAt) / resolve(L2MissAt) driving Searching -> {HitReturn,
+ * MissMemWait}, and the parallel off-chip fetch (Figure 2b step 2). The
+ * bank probe itself is a template, defined in l2_org.hpp.
  */
 
 #include "coherence/protocol.hpp"
@@ -16,19 +16,6 @@
 #include "obs/profiler.hpp"
 
 namespace espnuca {
-
-void
-Protocol::probe(Transaction &tx, BankId bank, std::uint32_t set_index,
-                ClassMask match, NodeId from_node, Cycle t, ProbeFn cb)
-{
-    // Delegate to the raw-callable template (l2_org.hpp) through a
-    // shim lambda; type-erased callers keep working, and the two entry
-    // points share one body.
-    probe(tx, bank, set_index, match, from_node, t,
-          [cb = std::move(cb)](const ProbeResult &r, Cycle done) {
-              cb(r, done);
-          });
-}
 
 void
 Protocol::resolve(Transaction &tx, const L2HitAt &hit)

@@ -36,8 +36,8 @@ inline constexpr std::uint64_t kMaxU32 = 0xFFFFFFFFu;
 
 /**
  * An unsigned integer no larger than `max`. `base` 10 takes decimal
- * only (flags and env knobs); base 0 also takes 0x-hex and 0-octal
- * (the fault-plan grammar's way masks).
+ * only (flags and env knobs), 16 hex digits (trace addresses); base 0
+ * also takes 0x-hex and 0-octal (the fault-plan grammar's way masks).
  */
 inline std::uint64_t
 parseUnsigned(const std::string &s, const std::string &what,
@@ -47,7 +47,8 @@ parseUnsigned(const std::string &s, const std::string &what,
     if (s.empty())
         throw NumberError(what + ": empty number");
     // std::stoull would skip leading blanks and negate a '-' sign.
-    if (!std::isdigit(static_cast<unsigned char>(s[0])))
+    const unsigned char lead = static_cast<unsigned char>(s[0]);
+    if (!(base == 16 ? std::isxdigit(lead) : std::isdigit(lead)))
         throw NumberError(what + ": bad number '" + s + "'");
     std::size_t used = 0;
     std::uint64_t v = 0;

@@ -56,7 +56,7 @@ class Slab
             grow();
         void *slot = free_.back();
         free_.pop_back();
-        ++live_;
+        ++inUse_;
         return ::new (slot) T(std::forward<A>(args)...);
     }
 
@@ -65,12 +65,12 @@ class Slab
     release(T *p)
     {
         p->~T();
-        --live_;
+        --inUse_;
         free_.push_back(p);
     }
 
     /** Objects currently live (diagnostics and leak checks). */
-    std::size_t live() const { return live_; }
+    std::size_t live() const { return inUse_; }
 
     /** Total slots ever allocated across all chunks. */
     std::size_t slots() const { return chunks_.size() * ChunkSize; }
@@ -94,7 +94,7 @@ class Slab
 
     std::vector<std::unique_ptr<Storage[]>> chunks_;
     std::vector<void *> free_;
-    std::size_t live_ = 0;
+    std::size_t inUse_ = 0;
 };
 
 } // namespace espnuca

@@ -5,13 +5,14 @@
  * transactions, or a runaway clock) and fails fast with a structured
  * diagnostic dump instead of hanging the experiment harness.
  *
- * The watchdog is a periodic self-rescheduling event on the simulation's
- * own EventQueue. It only *reads* state — a run with the watchdog armed
- * produces bit-identical statistics to the same run without it — and it
- * re-arms only while other events remain pending, so it never keeps an
- * otherwise-drained queue alive. The drained-queue-with-outstanding-
- * transactions case is covered by checkDrained(), which the system
- * harness calls right after the queue empties.
+ * The watchdog is not an event. The System's drain loop calls check()
+ * before the first event at or after each check boundary (every
+ * checkPeriod cycles from arm()), so it only *reads* state: a run with
+ * the watchdog armed produces byte-identical statistics to the same
+ * run without it, and no check runs after the queue drains. The
+ * drained-queue-with-outstanding-transactions case is covered by
+ * checkDrained(), which the system harness calls right after the
+ * queue empties.
  *
  * Failures are C++ exceptions (WatchdogError), not panics: the
  * experiment harness catches them per run, retries with a fresh
@@ -66,7 +67,7 @@ class WatchdogError : public std::runtime_error
 };
 
 /**
- * Progress monitor wired into the event kernel. Generic over three
+ * Progress monitor run between events. Generic over three
  * probes so it unit-tests without a full protocol stack:
  *   progress — monotone counter that advances whenever real work
  *              completes (accesses issued + transactions completed)
@@ -98,17 +99,54 @@ class Watchdog
         return cfg_.stallBudget != 0 || cfg_.maxCycles != 0;
     }
 
-    /** Start the periodic check (idempotent; no-op when disabled). */
+    /** Take the progress baseline now and put the first check one
+     *  period on (no-op when disabled). */
     void
     arm()
     {
-        if (!enabled() || armed_)
+        if (!enabled())
             return;
-        armed_ = true;
         lastProgress_ = progress_();
         lastChange_ = eq_.now();
-        eq_.noteAuxScheduled();
-        eq_.schedule(cfg_.checkPeriod, [this]() { check(); });
+        due_ = eq_.now() + cfg_.checkPeriod;
+    }
+
+    /** The cycle of the next check. */
+    Cycle due() const { return due_; }
+
+    /**
+     * Run the check at due() and move due() one period on. Throws
+     * WatchdogError when due() is past the cycle ceiling, or when no
+     * progress was seen for the stall budget with transactions in
+     * flight.
+     */
+    void
+    check()
+    {
+        const Cycle at = due_;
+        due_ += cfg_.checkPeriod;
+        ++checks_;
+        if (cfg_.maxCycles != 0 && at > cfg_.maxCycles) {
+            throw WatchdogError(
+                "simulation exceeded the " +
+                    std::to_string(cfg_.maxCycles) +
+                    "-cycle ceiling (now at cycle " + std::to_string(at) +
+                    ")",
+                dump_());
+        }
+        const std::uint64_t p = progress_();
+        if (p != lastProgress_) {
+            lastProgress_ = p;
+            lastChange_ = at;
+        } else if (cfg_.stallBudget != 0 && inFlight_() > 0 &&
+                   at - lastChange_ >= cfg_.stallBudget) {
+            throw WatchdogError(
+                "no forward progress for " +
+                    std::to_string(at - lastChange_) + " cycles with " +
+                    std::to_string(inFlight_()) +
+                    " transaction(s) in flight",
+                dump_());
+        }
     }
 
     /**
@@ -141,47 +179,9 @@ class Watchdog
     {
         const StatsScope wd(reg, "watchdog");
         wd.counter("checks").inc(checks_);
-        wd.gauge("armed").set(armed_ ? 1.0 : 0.0);
     }
 
   private:
-    void
-    check()
-    {
-        eq_.noteAuxFired();
-        ++checks_;
-        if (cfg_.maxCycles != 0 && eq_.now() > cfg_.maxCycles) {
-            throw WatchdogError(
-                "simulation exceeded the " +
-                    std::to_string(cfg_.maxCycles) +
-                    "-cycle ceiling (now at cycle " +
-                    std::to_string(eq_.now()) + ")",
-                dump_());
-        }
-        const std::uint64_t p = progress_();
-        if (p != lastProgress_) {
-            lastProgress_ = p;
-            lastChange_ = eq_.now();
-        } else if (cfg_.stallBudget != 0 && inFlight_() > 0 &&
-                   eq_.now() - lastChange_ >= cfg_.stallBudget) {
-            throw WatchdogError(
-                "no forward progress for " +
-                    std::to_string(eq_.now() - lastChange_) +
-                    " cycles with " + std::to_string(inFlight_()) +
-                    " transaction(s) in flight",
-                dump_());
-        }
-        // Re-arm only while *real* (non-observer) work remains: neither
-        // the check itself nor a metrics sampler pending alongside it
-        // may be the reason the queue stays alive.
-        if (eq_.hasRealWork()) {
-            eq_.noteAuxScheduled();
-            eq_.schedule(cfg_.checkPeriod, [this]() { check(); });
-        } else {
-            armed_ = false;
-        }
-    }
-
     EventQueue &eq_;
     WatchdogConfig cfg_;
     CountFn progress_;
@@ -189,8 +189,8 @@ class Watchdog
     DumpFn dump_;
     std::uint64_t lastProgress_ = 0;
     Cycle lastChange_ = 0;
+    Cycle due_ = 0;
     std::uint64_t checks_ = 0;
-    bool armed_ = false;
 };
 
 } // namespace espnuca

@@ -20,7 +20,7 @@ namespace espnuca {
  * A StatsRegistry as a JSON object, one sub-object per collection kind.
  * Names are the unified dotted paths (DESIGN.md 5.13); values carry the
  * same numbers the text dump prints, so the two exports never diverge.
- * The averages/gauges sections appear only when non-empty, so
+ * The averages section appears only when non-empty, so
  * counter-only registries serialize to the minimal shape. The document
  * is compact.
  */
@@ -41,12 +41,6 @@ statsToJson(const StatsRegistry &reg)
             w.field("n", a.count());
             w.endObject();
         }
-        w.endObject();
-    }
-    if (!reg.gauges().empty()) {
-        w.key("gauges").beginObject();
-        for (const auto &[name, g] : reg.gauges())
-            w.field(name, g.value());
         w.endObject();
     }
     w.endObject();

@@ -215,18 +215,17 @@ class System
 
     /**
      * Sample epoch telemetry every `interval` cycles into run(): each
-     * tick records every counter of the extended collection except the
-     * host-clock prof.* ones, plus the two live levels that a drain
-     * always leaves at 0 (in-flight transactions, allocated MSHRs).
+     * sample records every counter of the extended collection except
+     * the host-clock prof.* ones, plus the in-flight transaction count,
+     * a live level that a drain always leaves at 0.
      */
     void
     enableMetrics(Cycle interval)
     {
         sampler_ = std::make_unique<obs::MetricsSampler>(
-            eq_, interval, [this](StatsRegistry &reg) {
+            interval, [this](StatsRegistry &reg) {
                 collectModelStats(reg, true);
                 reg.counter("proto.in_flight").inc(proto_.inFlight());
-                reg.counter("proto.mshrs").inc(proto_.mshrCount());
             });
     }
 
@@ -476,7 +475,7 @@ class System
 
     /**
      * Run the attached cores to completion: start them, arm the
-     * observers, drain the event queue and verify quiescence.
+     * watchdog, drain the event queue and verify quiescence.
      */
     void
     runEpoch()
@@ -485,21 +484,47 @@ class System
         for (auto &core : cores_)
             if (core)
                 core->start();
-        if (sampler_)
-            sampler_->arm();
-        if (watchdog_ && watchdog_->enabled()) {
+        const bool watch = watchdog_ && watchdog_->enabled();
+        if (watch) {
             // Stall post-mortems ship with an event history: keep a
             // bounded trace tail even when full tracing is off.
             if (!tracer_.enabled())
                 tracer_.enableRing(obs::kDiagRingCapacity);
             watchdog_->arm();
         }
-        eq_.run();
+        if (sampler_ || watch)
+            drainObserved(watch);
+        else
+            eq_.run();
         if (watchdog_)
             watchdog_->checkDrained();
         ESP_ASSERT(proto_.inFlight() == 0,
                    "transactions still in flight after drain");
         proto_.forgetOffChip();
+    }
+
+    /**
+     * Drain the event queue with the observers run between events:
+     * before the first event at or after a boundary of the sampler or
+     * the watchdog, that observer handles the boundary. Neither is an
+     * event, so the clock and the event counters read as in a run
+     * without them. The last sample records the drained state.
+     */
+    void
+    drainObserved(bool watch)
+    {
+        ESP_PROF_SCOPE("sim.drain");
+        while (!eq_.empty()) {
+            const Cycle next = eq_.nextEventTime();
+            if (sampler_ && sampler_->due() <= next)
+                sampler_->sample();
+            else if (watch && watchdog_->due() <= next)
+                watchdog_->check();
+            else
+                eq_.step();
+        }
+        if (sampler_)
+            sampler_->sample();
     }
 
     /** Epoch boundary: zero every statistic, open the window here. */

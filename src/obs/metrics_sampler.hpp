@@ -1,19 +1,19 @@
 /**
  * @file
- * Epoch telemetry: a periodic, read-only event on the simulation's own
- * EventQueue that samples the StatsRegistry. Every tick fills a fresh
- * registry (the System passes its extended collection, which carries
- * the adaptive controller's per-bank nmax, set-class EMAs and
- * helping-block occupancy next to the mesh, memory and protocol
- * counters) and records each counter's value, so any registered
- * counter becomes a time series. report.hpp serializes the series as
- * the point JSON's "timeseries" section.
+ * Epoch telemetry: samples the StatsRegistry every `interval` cycles.
+ * Every sample fills a fresh registry (the System passes its extended
+ * collection, which carries the adaptive controller's per-bank nmax,
+ * set-class EMAs and helping-block occupancy next to the mesh, memory
+ * and protocol counters) and records each counter's value, so any
+ * registered counter becomes a time series. report.hpp serializes the
+ * series as the point JSON's "timeseries" section.
  *
- * Like the watchdog, the sampler registers its event as auxiliary with
- * the queue and re-arms only while real work remains pending, so it
- * never keeps a drained queue alive (and two observers never keep each
- * other alive). Sampling mutates nothing: a sampled run produces
- * bit-identical statistics to an unsampled one, serial or parallel.
+ * The sampler is not an event. The System's drain loop calls sample()
+ * before the first event at or after each boundary k * interval, so
+ * sample k holds the state after every event before that cycle, and
+ * once more when the queue drains. Sampling mutates nothing, the
+ * event queue's clock and counters included: a sampled run produces
+ * byte-identical statistics to an unsampled one, serial or parallel.
  */
 
 #ifndef ESPNUCA_OBS_METRICS_SAMPLER_HPP_
@@ -28,7 +28,6 @@
 #include "common/log.hpp"
 #include "common/snapshot.hpp"
 #include "common/types.hpp"
-#include "sim/event_queue.hpp"
 #include "stats/stats_registry.hpp"
 
 namespace espnuca {
@@ -47,34 +46,46 @@ struct MetricsSample
 };
 
 /**
- * The periodic sampling event. The System supplies a filler that
- * registers its statistics; the sampler owns the cadence and the
- * series.
+ * The periodic sampler. The System supplies a filler that registers
+ * its statistics and decides when to call sample(); the sampler owns
+ * the cadence and the series.
  */
 class MetricsSampler
 {
   public:
     using FillFn = std::function<void(StatsRegistry &)>;
 
-    MetricsSampler(EventQueue &eq, Cycle interval, FillFn fill)
-        : eq_(eq), interval_(interval), fill_(std::move(fill))
+    MetricsSampler(Cycle interval, FillFn fill)
+        : interval_(interval), fill_(std::move(fill))
     {
         ESP_ASSERT(interval_ > 0, "metrics interval must be positive");
     }
 
-    /** Schedule the first tick (idempotent). */
+    /** The boundary the next sample is stamped with: sample i is
+     *  stamped (i + 1) * interval, across epochs too. */
+    Cycle due() const { return (samples_.size() + 1) * interval_; }
+
+    /** Record the current state, stamped with due(). */
     void
-    arm()
+    sample()
     {
-        if (armed_)
-            return;
-        armed_ = true;
-        eq_.noteAuxScheduled();
-        eq_.schedule(interval_, [this]() { tick(); });
+        StatsRegistry reg;
+        fill_(reg);
+        MetricsSample s;
+        s.cycle = due();
+        auto names = std::make_shared<NameTable>();
+        for (const auto &[name, c] : reg.counters()) {
+            names->push_back(name);
+            s.values.push_back(c.value());
+        }
+        if (!samples_.empty() && *samples_.back().names == *names)
+            s.names = samples_.back().names;
+        else
+            s.names = std::move(names);
+        samples_.push_back(std::move(s));
     }
 
     const std::vector<MetricsSample> &samples() const { return samples_; }
-    Cycle interval() const { return interval_; }
 
     // -- Snapshot/restore ----------------------------------------------
     //
@@ -108,9 +119,10 @@ class MetricsSampler
 
     /** Replace the series with the serialized one. Throws SnapshotError
      *  on a cadence mismatch (splicing a warmup sampled at one interval
-     *  onto a tail sampled at another would corrupt the series) and on
-     *  a name table that is not strictly sorted, as a registry's is (a
-     *  repeated name would repeat a key of the JSON sample object). */
+     *  onto a tail sampled at another would corrupt the series), on a
+     *  sample stamped off its boundary, and on a name table that is
+     *  not strictly sorted, as a registry's is (a repeated name would
+     *  repeat a key of the JSON sample object). */
     void
     load(SnapshotReader &r)
     {
@@ -124,6 +136,8 @@ class MetricsSampler
         for (std::uint64_t i = 0; i < n; ++i) {
             MetricsSample s;
             s.cycle = r.u64();
+            if (s.cycle != due())
+                throw SnapshotError("metrics sample off its boundary");
             if (r.b()) {
                 auto t = std::make_shared<NameTable>();
                 const std::uint64_t k = r.count(sizeof(std::uint64_t));
@@ -149,39 +163,9 @@ class MetricsSampler
     }
 
   private:
-    void
-    tick()
-    {
-        eq_.noteAuxFired();
-        StatsRegistry reg;
-        fill_(reg);
-        MetricsSample s;
-        s.cycle = eq_.now();
-        auto names = std::make_shared<NameTable>();
-        for (const auto &[name, c] : reg.counters()) {
-            names->push_back(name);
-            s.values.push_back(c.value());
-        }
-        if (!samples_.empty() && *samples_.back().names == *names)
-            s.names = samples_.back().names;
-        else
-            s.names = std::move(names);
-        samples_.push_back(std::move(s));
-        // Re-arm only while non-auxiliary events remain; the sampler
-        // must never be the reason the queue stays alive.
-        if (eq_.hasRealWork()) {
-            eq_.noteAuxScheduled();
-            eq_.schedule(interval_, [this]() { tick(); });
-        } else {
-            armed_ = false;
-        }
-    }
-
-    EventQueue &eq_;
     Cycle interval_;
     FillFn fill_;
     std::vector<MetricsSample> samples_;
-    bool armed_ = false;
 };
 
 } // namespace obs

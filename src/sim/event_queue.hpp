@@ -19,6 +19,10 @@
  * Events are InlineFn closures (no heap for typical captures) stored
  * in a per-queue slab with a freelist, so steady-state scheduling
  * performs no allocation at all.
+ *
+ * Every event is model work: observers (the metrics sampler, the
+ * watchdog) run between events, so the clock and the executed-event
+ * count are the same with and without them.
  */
 
 #ifndef ESPNUCA_SIM_EVENT_QUEUE_HPP_
@@ -39,8 +43,8 @@ namespace espnuca {
 /**
  * Callback executed when an event fires. The 128-byte inline buffer is
  * sized for the fattest hot closure in the simulator: the probe
- * continuation, which carries a 64-byte ProbeFn plus bank/set/time
- * context (~104 bytes). Everything the protocol, cores and mesh
+ * continuation, which carries the architecture's search lambda plus
+ * bank/set/time context. Everything the protocol, cores and mesh
  * schedule stays inline; larger captures fall back to the heap rather
  * than failing to compile.
  */
@@ -69,21 +73,21 @@ class EventQueue
     void
     schedule(Cycle delay, EventFn fn)
     {
-        scheduleImpl(now_ + delay, std::move(fn));
-    }
-
-    /** Schedule fn at an absolute time >= now. */
-    void
-    scheduleAt(Cycle when, EventFn fn)
-    {
-        scheduleImpl(when, std::move(fn));
+        std::uint32_t idx;
+        if (free_.empty()) {
+            pool_.push_back(std::move(fn));
+            idx = static_cast<std::uint32_t>(pool_.size() - 1);
+        } else {
+            idx = free_.back();
+            free_.pop_back();
+            pool_[idx] = std::move(fn);
+        }
+        commit(now_ + delay, idx);
     }
 
     // Raw-callable overloads: construct the closure directly in its
     // slab slot instead of building a temporary EventFn and relocating
-    // it. For the fat probe continuation (which captures a nested
-    // InlineFn and therefore relocates through a manage dispatch) this
-    // removes one full relocation per scheduled event.
+    // it, which removes one relocation per scheduled event.
     template <typename F,
               typename = std::enable_if_t<
                   !std::is_same_v<std::decay_t<F>, EventFn>>>
@@ -176,29 +180,6 @@ class EventQueue
     /** Total events executed so far (diagnostic). */
     std::uint64_t executed() const { return executed_; }
 
-    // -- Auxiliary (observer) event accounting ---------------------------
-    //
-    // Watchdog checks and metrics samples are read-only observers that
-    // re-arm themselves only while *real* work remains; if each merely
-    // tested pending() > 0, two observers would keep re-arming off each
-    // other's events forever. They register every scheduled check with
-    // noteAuxScheduled(), balance it with noteAuxFired() when the event
-    // runs, and gate re-arming on hasRealWork().
-
-    /** An observer scheduled one event. */
-    void noteAuxScheduled() { ++auxPending_; }
-
-    /** That event fired (call first thing inside the callback). */
-    void
-    noteAuxFired()
-    {
-        ESP_ASSERT(auxPending_ > 0, "unbalanced aux-event accounting");
-        --auxPending_;
-    }
-
-    /** True when any non-observer event is still pending. */
-    bool hasRealWork() const { return pending_ > auxPending_; }
-
     // -- Snapshot/restore ------------------------------------------------
 
     /** Sequence counter (snapshot identity of FIFO tie-breaking). */
@@ -258,28 +239,6 @@ class EventQueue
             return a.seq > b.seq;
         }
     };
-
-    /**
-     * Shared body of schedule/scheduleAt. Takes the closure by rvalue
-     * reference so the public by-value entry points cost exactly one
-     * construction (into the parameter, elided) plus one relocation
-     * (into the pool slot).
-     */
-    void
-    scheduleImpl(Cycle when, EventFn &&fn)
-    {
-        ESP_ASSERT(when >= now_, "scheduling into the past");
-        std::uint32_t idx;
-        if (free_.empty()) {
-            pool_.push_back(std::move(fn));
-            idx = static_cast<std::uint32_t>(pool_.size() - 1);
-        } else {
-            idx = free_.back();
-            free_.pop_back();
-            pool_[idx] = std::move(fn);
-        }
-        commit(when, idx);
-    }
 
     /** In-place variant: the callable is constructed in the slot. */
     template <typename F>
@@ -380,7 +339,6 @@ class EventQueue
     std::uint64_t seq_ = 0;
     std::size_t pending_ = 0;
     std::size_t inWheel_ = 0;
-    std::size_t auxPending_ = 0;
     std::uint64_t executed_ = 0;
 };
 

@@ -26,23 +26,6 @@ class Counter
 };
 
 /**
- * Point-in-time level (queue depth, ETA, occupancy): set() overwrites
- * rather than accumulates, which is the whole difference from Counter.
- */
-class Gauge
-{
-  public:
-    Gauge() = default;
-
-    void set(double v) { value_ = v; }
-    double value() const { return value_; }
-    void reset() { value_ = 0.0; }
-
-  private:
-    double value_ = 0.0;
-};
-
-/**
  * Accumulates a sum and a count; reports the average. Used e.g. for
  * average access time per service level (Figure 6).
  */

@@ -80,8 +80,9 @@ class ShiftEma
  * an or; the underlying EMA only advances when flush() replays the
  * buffered samples in arrival order. Because replay preserves order, the
  * post-flush register value is bit-identical to per-access updates — the
- * only observable difference is *when* the work happens, so any reader
- * must flush first (raw() does so itself).
+ * only observable difference is *when* the work happens. raw() replays
+ * the buffer on a copy, so a reader sees the current value without
+ * changing the state a snapshot saves.
  */
 class BatchedShiftEma
 {
@@ -107,12 +108,14 @@ class BatchedShiftEma
         pending_ = 0;
     }
 
-    /** Raw fixed-point estimate; flushes so the value is current. */
+    /** Raw fixed-point estimate, as flush() would leave it. */
     std::uint32_t
-    raw()
+    raw() const
     {
-        flush();
-        return ema_.raw();
+        ShiftEma e = ema_;
+        for (std::uint32_t i = 0; i < pending_; ++i)
+            e.record((bits_ >> i) & 1u);
+        return e.raw();
     }
 
     /** Samples buffered but not yet applied (testing aid). */

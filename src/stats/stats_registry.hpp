@@ -1,6 +1,6 @@
 /**
  * @file
- * Named statistic registry: owns counters/gauges/averages registered
+ * Named statistic registry: owns counters/averages registered
  * by the simulator components and dumps them in a stable text format.
  * This is the single collection surface every component's
  * registerStats() writes into — the stats dump, the run JSON "stats"
@@ -28,9 +28,8 @@ namespace espnuca {
  * Naming scheme (DESIGN.md 5.13): `<component>.<instance>.<metric>`,
  * the instance segment omitted for singletons — `proto.accesses`,
  * `bank.3.evictions`, `mc.0.queue_wait`, `core.7.ipc`, `prof.<site>.ns`.
- * The text dump prints counters first, then averages, then gauges
- * (each section name-sorted) — legacy collections register only
- * counters/averages, so their dumps are byte-stable.
+ * The text dump prints counters first, then averages (each section
+ * name-sorted).
  */
 class StatsRegistry
 {
@@ -40,9 +39,6 @@ class StatsRegistry
 
     /** Get (creating on first use) an average by name. */
     Average &average(const std::string &name) { return averages_[name]; }
-
-    /** Get (creating on first use) a gauge by name. */
-    Gauge &gauge(const std::string &name) { return gauges_[name]; }
 
     /** Read a counter value; 0 when absent. */
     std::uint64_t
@@ -77,8 +73,6 @@ class StatsRegistry
         return averages_;
     }
 
-    const std::map<std::string, Gauge> &gauges() const { return gauges_; }
-
     /** Dump every statistic as "name value" lines. */
     void
     dump(std::ostream &os) const
@@ -87,8 +81,6 @@ class StatsRegistry
             os << name << " " << c.value() << "\n";
         for (const auto &[name, a] : averages_)
             os << name << " " << a.mean() << " (n=" << a.count() << ")\n";
-        for (const auto &[name, g] : gauges_)
-            os << name << " " << g.value() << "\n";
     }
 
     /** Clear all statistics (values and registrations). */
@@ -97,13 +89,11 @@ class StatsRegistry
     {
         counters_.clear();
         averages_.clear();
-        gauges_.clear();
     }
 
   private:
     std::map<std::string, Counter> counters_;
     std::map<std::string, Average> averages_;
-    std::map<std::string, Gauge> gauges_;
 };
 
 /**
@@ -134,11 +124,6 @@ class StatsScope
     Average &average(const std::string &name) const
     {
         return reg_.average(join(name));
-    }
-
-    Gauge &gauge(const std::string &name) const
-    {
-        return reg_.gauge(join(name));
     }
 
     const std::string &prefix() const { return prefix_; }

@@ -10,6 +10,10 @@
  * where type is one of  L (load), S (store), I (ifetch)  and dep is 0/1
  * (address depends on the previous load). Lines starting with '#' are
  * comments. One file per core.
+ *
+ * The reader is strict: a line with another field count, a gap or an
+ * address that is not a whole number (parse_num.hpp), or another type
+ * or dep token throws a TraceFormatError naming the file and the line.
  */
 
 #ifndef ESPNUCA_WORKLOAD_TRACE_FILE_HPP_
@@ -19,18 +23,67 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "common/log.hpp"
+#include "common/parse_num.hpp"
 #include "cpu/trace_core.hpp"
 
 namespace espnuca {
+
+/** A trace line that is not `<gap> <L|S|I> <hex-address> <0|1>`;
+ *  what() starts with `<file>:<line>: `. */
+class TraceFormatError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
+
+/**
+ * Parse line `line_no` of trace file `path` into `op`. Returns false
+ * for a blank or comment line; throws TraceFormatError, prefixed with
+ * `path:line_no`, for a malformed one.
+ */
+inline bool
+parseTraceLine(const std::string &line, const std::string &path,
+               std::uint64_t line_no, TraceOp &op)
+{
+    if (line.empty() || line[0] == '#')
+        return false;
+    const auto bad = [&](const std::string &what) {
+        return TraceFormatError(path + ":" + std::to_string(line_no) +
+                                ": " + what);
+    };
+    std::istringstream ls(line);
+    std::string gap, type, addr, dep, extra;
+    if (!(ls >> gap >> type >> addr >> dep) || ls >> extra)
+        throw bad("expected <gap> <L|S|I> <hex-address> <0|1>, got '" +
+                  line + "'");
+    if (type != "L" && type != "S" && type != "I")
+        throw bad("unknown access type '" + type + "'");
+    op.type = type == "L"   ? AccessType::Load
+              : type == "S" ? AccessType::Store
+                            : AccessType::Ifetch;
+    if (dep != "0" && dep != "1")
+        throw bad("dep must be 0 or 1, got '" + dep + "'");
+    try {
+        op.gap = static_cast<std::uint32_t>(
+            parseUnsigned(gap, "gap", kMaxU32));
+        op.addr = parseUnsigned(addr, "address", ~Addr{0}, 16);
+    } catch (const NumberError &e) {
+        throw bad(e.what());
+    }
+    op.dependsOnPrev = dep == "1";
+    return true;
+}
 
 /** TraceSource that replays a trace file. */
 class FileTraceSource : public TraceSource
 {
   public:
-    explicit FileTraceSource(const std::string &path) : in_(path)
+    explicit FileTraceSource(const std::string &path)
+        : in_(path), path_(path)
     {
         if (!in_.is_open())
             ESP_FATAL("cannot open trace file: " + path);
@@ -41,35 +94,16 @@ class FileTraceSource : public TraceSource
     {
         std::string line;
         while (std::getline(in_, line)) {
-            if (line.empty() || line[0] == '#')
-                continue;
-            std::istringstream ls(line);
-            std::string type;
-            std::string addr;
-            int dep = 0;
-            if (!(ls >> op.gap >> type >> addr >> dep)) {
-                ESP_FATAL("malformed trace line: " + line);
-            }
-            switch (type.empty() ? '?' : type[0]) {
-              case 'L': op.type = AccessType::Load; break;
-              case 'S': op.type = AccessType::Store; break;
-              case 'I': op.type = AccessType::Ifetch; break;
-              default:
-                ESP_FATAL("unknown access type in trace: " + line);
-            }
-            op.addr = std::stoull(addr, nullptr, 16);
-            op.dependsOnPrev = dep != 0;
-            ++emitted_;
-            return true;
+            if (parseTraceLine(line, path_, ++line_, op))
+                return true;
         }
         return false;
     }
 
-    std::uint64_t emitted() const { return emitted_; }
-
   private:
     std::ifstream in_;
-    std::uint64_t emitted_ = 0;
+    std::string path_;
+    std::uint64_t line_ = 0;
 };
 
 /** Writes TraceOps to a trace file in the replayable format. */

@@ -447,11 +447,16 @@ TEST(BatchedEmaEquivalence, TracksDirectEmaAtEveryFlushPoint)
         const bool hit = (rng() % 3) != 0;
         direct.record(hit);
         batched.record(hit);
-        // raw() flushes; the register must match per-access updating no
-        // matter where in the 64-sample buffer we interrupt.
-        if (rng() % 7 == 0)
+        // raw() applies the buffer to a copy: the value must match
+        // per-access updating no matter where in the 64-sample buffer
+        // we read, and the read must leave the buffer as it was.
+        if (rng() % 7 == 0) {
+            const std::uint32_t pending = batched.pending();
             ASSERT_EQ(batched.raw(), direct.raw()) << "sample " << n;
+            ASSERT_EQ(batched.pending(), pending) << "sample " << n;
+        }
     }
+    batched.flush();
     EXPECT_EQ(batched.raw(), direct.raw());
     EXPECT_EQ(batched.pending(), 0u);
 }

@@ -31,6 +31,22 @@ heartbeat(EventQueue &eq, Cycle period)
     eq.schedule(period, [&eq, period]() { heartbeat(eq, period); });
 }
 
+/**
+ * Run the events up to `limit`, with the watchdog checking between
+ * them as System's drain loop does: before the first event at or after
+ * each check boundary.
+ */
+void
+runWatched(EventQueue &eq, Watchdog &wd, Cycle limit)
+{
+    while (!eq.empty() && eq.nextEventTime() <= limit) {
+        if (wd.due() <= eq.nextEventTime())
+            wd.check();
+        else
+            eq.step();
+    }
+}
+
 TEST(Watchdog, DisabledWatchdogNeverArms)
 {
     EventQueue eq;
@@ -54,7 +70,7 @@ TEST(Watchdog, StallWithInFlightThrows)
         []() { return std::string("dump-payload"); });
     wd.arm();
     try {
-        eq.runUntil(100000);
+        runWatched(eq, wd, 100000);
         FAIL() << "watchdog did not fire";
     } catch (const WatchdogError &e) {
         EXPECT_NE(std::string(e.what()).find("no forward progress"),
@@ -79,7 +95,7 @@ TEST(Watchdog, ProgressResetsTheStallClock)
         },
         []() { return 1u; }, []() { return std::string(); });
     wd.arm();
-    EXPECT_THROW(eq.runUntil(100000), WatchdogError);
+    EXPECT_THROW(runWatched(eq, wd, 100000), WatchdogError);
     EXPECT_GE(eq.now(), 750u);
     EXPECT_LE(eq.now(), 1200u);
 }
@@ -94,7 +110,7 @@ TEST(Watchdog, NoThrowWhileIdleInFlight)
                 []() { return 0u; }, []() { return 0u; },
                 []() { return std::string(); });
     wd.arm();
-    EXPECT_NO_THROW(eq.runUntil(5000));
+    EXPECT_NO_THROW(runWatched(eq, wd, 5000));
     EXPECT_GT(wd.checksRun(), 0u);
 }
 
@@ -108,8 +124,28 @@ TEST(Watchdog, CycleCeilingThrows)
         [&progress]() { return ++progress; }, // always "making progress"
         []() { return 1u; }, []() { return std::string(); });
     wd.arm();
-    EXPECT_THROW(eq.runUntil(100000), WatchdogError);
+    EXPECT_THROW(runWatched(eq, wd, 100000), WatchdogError);
     EXPECT_LE(eq.now(), 2000u);
+}
+
+TEST(Watchdog, ChecksRunBetweenEventsWithoutMovingTheClock)
+{
+    EventQueue eq;
+    for (Cycle t = 100; t <= 1000; t += 100)
+        eq.schedule(t, []() {});
+    std::uint64_t progress = 0;
+    Watchdog wd(
+        eq, WatchdogConfig{/*stallBudget=*/400, 0, 0},
+        [&progress]() { return ++progress; }, []() { return 1u; },
+        []() { return std::string(); });
+    wd.arm();
+    EXPECT_EQ(wd.due(), 100u);
+    runWatched(eq, wd, 100000);
+    // One check per 100-cycle boundary up to the last event; none
+    // after the drain, and none is an event.
+    EXPECT_EQ(wd.checksRun(), 10u);
+    EXPECT_EQ(eq.now(), 1000u);
+    EXPECT_EQ(eq.executed(), 10u);
 }
 
 TEST(Watchdog, CheckDrainedReportsOutstandingTransactions)

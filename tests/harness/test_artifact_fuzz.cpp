@@ -3,8 +3,9 @@
  * Seeded mutation fuzzing of the harness's one JSON reader and of every
  * artifact format read through it: point records, run-ledger lines,
  * heartbeats, quarantine lists, and raw jsonParse; of the FaultPlan
- * grammar; and of the binary snapshot loader, fed a real esp-nuca
- * checkpoint. Each case takes a
+ * grammar; of the trace v1 line reader, fed a recorded stream; and of
+ * the binary snapshot loader, fed a real esp-nuca checkpoint. Each
+ * case takes a
  * valid serialized record and applies a fixed, seeded number of byte
  * mutations (flip, truncate, insert, delete, duplicate). The CRC-framed
  * formats are also fuzzed with a mutated body under a recomputed
@@ -12,8 +13,9 @@
  * the checksum.
  *
  * Every call must return (accepting or rejecting) or throw a typed
- * PointFileError (FaultPlanError for fault plans, SnapshotError for the
- * snapshot loader): no crash, no hang, no other exception. The suite is deterministic and carries a
+ * PointFileError (FaultPlanError for fault plans, TraceFormatError for
+ * trace lines, SnapshotError for the snapshot loader): no crash, no
+ * hang, no other exception. The suite is deterministic and carries a
  * ctest TIMEOUT; sanitizer builds run it with the rest of ctest.
  */
 
@@ -23,6 +25,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,6 +37,7 @@
 #include "fault/fault_plan.hpp"
 #include "harness/sweep.hpp"
 #include "harness/system.hpp"
+#include "workload/trace_file.hpp"
 
 namespace espnuca {
 namespace {
@@ -357,6 +361,65 @@ TEST(ArtifactFuzz, FaultPlan)
     EXPECT_GT(stall.rejected, 0u);
 }
 
+TEST(ArtifactFuzz, TraceV1)
+{
+    // A recorded synthetic stream, header comment included. A mutant is
+    // read line by line as FileTraceSource reads it; an accepted line
+    // must print back, in the recorder's format, to a line that parses
+    // to the same reference.
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("espnuca_fuzz_trace_" + std::to_string(::getpid())))
+            .string();
+    {
+        const SystemConfig cfg;
+        StreamParams p;
+        p.ops = 24;
+        RecordingSource rec(std::make_unique<SyntheticSource>(cfg, p, 3),
+                            path);
+        TraceOp op;
+        while (rec.next(op)) {
+        }
+    }
+    std::ifstream in(path);
+    const std::string valid((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    std::filesystem::remove(path);
+    const auto read = [](const std::string &text) {
+        std::istringstream lines(text);
+        std::string line;
+        std::uint64_t n = 0;
+        try {
+            TraceOp op;
+            while (std::getline(lines, line)) {
+                if (!parseTraceLine(line, "fuzz", ++n, op))
+                    continue;
+                std::ostringstream out;
+                out << op.gap << ' '
+                    << (op.type == AccessType::Load    ? 'L'
+                        : op.type == AccessType::Store ? 'S'
+                                                       : 'I')
+                    << ' ' << std::hex << op.addr << std::dec << ' '
+                    << (op.dependsOnPrev ? 1 : 0);
+                TraceOp back;
+                EXPECT_TRUE(parseTraceLine(out.str(), "fuzz", n, back));
+                EXPECT_EQ(back.gap, op.gap) << line;
+                EXPECT_EQ(back.type, op.type) << line;
+                EXPECT_EQ(back.addr, op.addr) << line;
+                EXPECT_EQ(back.dependsOnPrev, op.dependsOnPrev) << line;
+            }
+        } catch (const TraceFormatError &e) {
+            EXPECT_EQ(std::string(e.what()).rfind("fuzz:", 0), 0u)
+                << e.what();
+            return false;
+        }
+        return true;
+    };
+    const Tally t = fuzz(valid, 13, asIs, read);
+    EXPECT_GT(t.accepted, 0u);
+    EXPECT_GT(t.rejected, 0u);
+}
+
 /** Append the CRC32C trailer a snapshot file carries. */
 std::string
 withSnapshotCrc(std::string body)
@@ -432,9 +495,8 @@ TEST(SnapshotFuzz, EspNucaCheckpoint)
     EXPECT_GT(body.rejected, 0u);
 
     // Sampling does not perturb the machine state, so the sampled
-    // body lays out like the unsampled one (only the event-queue
-    // counters differ in value) up to the closing sampler flag, which
-    // is followed by the sampler section (interval, name table,
+    // body equals the unsampled one up to the closing sampler flag,
+    // which is followed by the sampler section (interval, name table,
     // values). Mutating only the bytes past the flag lands every
     // mutation in that section.
     const std::size_t flag = file.size() - 5;

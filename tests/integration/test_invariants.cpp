@@ -145,10 +145,11 @@ TEST(DrainedDirectory, HoldsOnlyOnChipBlocksAt64Cores)
 TEST(DrainedDirectory, SizeBoundedByOnChipCapacityThroughALongRun)
 {
     // mcf-4 streams a 16 MB cold footprint through the 8 MB L2. An
-    // observer event samples the directory every 20k cycles: it may
-    // hold the on-chip blocks, at most one locked off-chip block per
-    // live transaction, and the few blocks that left since the last
-    // forget pass, which the idle cores' empty L1s more than cover.
+    // observer event samples the directory every 20k cycles, re-armed
+    // while other events remain: the directory may hold the on-chip
+    // blocks, at most one locked off-chip block per live transaction,
+    // and the few blocks that left since the last forget pass, which
+    // the idle cores' empty L1s more than cover.
     SystemConfig cfg;
     const Workload wl = makeWorkload("mcf-4", cfg, 4 * 20'000, 3);
     System sys(cfg, "esp-nuca", wl, 3, 0.5);
@@ -162,17 +163,13 @@ TEST(DrainedDirectory, SizeBoundedByOnChipCapacityThroughALongRun)
     std::size_t peak = 0;
     constexpr Cycle kEvery = 20'000;
     std::function<void()> sample = [&]() {
-        eq.noteAuxFired();
         ++samples;
         peak = std::max(peak, dir.size());
         over += dir.size() >
                 l2_blocks + l1_blocks + sys.protocol().inFlight();
-        if (eq.hasRealWork()) {
-            eq.noteAuxScheduled();
+        if (!eq.empty())
             eq.schedule(kEvery, [&sample]() { sample(); });
-        }
     };
-    eq.noteAuxScheduled();
     eq.scheduleAt(kEvery, [&sample]() { sample(); });
     sys.run();
     EXPECT_GT(samples, 50u);

@@ -2,14 +2,17 @@
  * @file
  * Epoch-telemetry tests: the sampler produces a monotone time series
  * of the StatsRegistry's counters, the adaptive controller's state
- * included, never keeps a drained queue alive (alone or together with
- * the watchdog), never perturbs the simulation, and is bit-identical
- * across threads.
+ * included; sample k holds the state before any event at k * interval
+ * and the last one the drained state; it is never an event, so it
+ * leaves the clock, the event count and the stats dump as they are
+ * (with or without the watchdog); and it is bit-identical across
+ * threads.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 #include <string>
 #include <thread>
 
@@ -32,30 +35,148 @@ valueOf(const obs::MetricsSample &s, const std::string &name)
         : &s.values[static_cast<std::size_t>(it - s.names->begin())];
 }
 
+/**
+ * Drain `eq` with `ms` sampling between events as System's drain loop
+ * does: before the first event at or after each boundary, and once
+ * more at the drain.
+ */
+void
+drainSampled(EventQueue &eq, obs::MetricsSampler &ms)
+{
+    while (!eq.empty()) {
+        if (ms.due() <= eq.nextEventTime())
+            ms.sample();
+        else
+            eq.step();
+    }
+    ms.sample();
+}
+
 TEST(MetricsSampler, SamplesAtTheConfiguredCadence)
 {
     EventQueue eq;
-    // Real work out to cycle 1000, then the queue drains.
+    // Real work every 100 cycles out to cycle 1000, then the queue
+    // drains.
     for (Cycle t = 100; t <= 1000; t += 100)
         eq.schedule(t, []() {});
-    obs::MetricsSampler ms(eq, 250, [](StatsRegistry &) {});
-    ms.arm();
-    eq.run();
-    // Ticks at 250/500/750/1000; the 1000 tick sees no real work left
-    // and does not re-arm.
-    ASSERT_EQ(ms.samples().size(), 4u);
-    EXPECT_EQ(ms.samples()[0].cycle, 250u);
-    EXPECT_EQ(ms.samples()[3].cycle, 1000u);
+    obs::MetricsSampler ms(250, [&eq](StatsRegistry &reg) {
+        reg.counter("events").inc(eq.executed());
+    });
+    drainSampled(eq, ms);
+    // Samples at 250/500/750/1000, each before the events at its
+    // cycle, then the drained state at the next boundary, 1250.
+    ASSERT_EQ(ms.samples().size(), 5u);
+    const std::uint64_t events[] = {2, 4, 7, 9, 10};
+    for (std::size_t i = 0; i < 5; ++i) {
+        EXPECT_EQ(ms.samples()[i].cycle, 250u * (i + 1)) << i;
+        EXPECT_EQ(ms.samples()[i].values.at(0), events[i]) << i;
+    }
+    EXPECT_EQ(eq.executed(), 10u);
 }
 
 TEST(MetricsSampler, DoesNotKeepADrainedQueueAlive)
 {
     EventQueue eq;
     eq.schedule(10, []() {});
-    obs::MetricsSampler ms(eq, 5, [](StatsRegistry &) {});
-    ms.arm();
-    eq.run();
-    EXPECT_LE(eq.now(), 15u); // stopped at (or just past) the last work
+    obs::MetricsSampler ms(5, [](StatsRegistry &) {});
+    drainSampled(eq, ms);
+    EXPECT_EQ(eq.now(), 10u); // the clock stops at the last event
+    ASSERT_EQ(ms.samples().size(), 3u);
+    EXPECT_EQ(ms.samples().back().cycle, 15u);
+}
+
+TEST(MetricsSampler, SampleHoldsTheStateBeforeItsBoundary)
+{
+    // Sample k holds the state after every event before cycle
+    // (k + 1) * interval. An unsampled twin records its state from
+    // events scheduled at those cycles before the run starts: with the
+    // lowest sequence numbers of their cycles, they fire before every
+    // model event there, and each counts itself and the earlier ones
+    // in sim.events.
+    SystemConfig cfg;
+    constexpr Cycle kInterval = 4000;
+    const Workload wl = makeWorkload("apache", cfg, 3000, 7);
+    System sampled(cfg, "esp-nuca", wl, 7, 0.0);
+    sampled.enableMetrics(kInterval);
+    const RunResult r = sampled.run();
+    const std::size_t picks[] = {0, 5, 20};
+    ASSERT_GT(r.timeseries.size(), 21u);
+
+    System twin(cfg, "esp-nuca", wl, 7, 0.0);
+    StatsRegistry regs[3];
+    for (std::size_t j = 0; j < 3; ++j) {
+        twin.eq().scheduleAt(r.timeseries[picks[j]].cycle, [&, j]() {
+            twin.collectStats(regs[j], true);
+            regs[j].counter("proto.in_flight")
+                .inc(twin.protocol().inFlight());
+        });
+    }
+    twin.run();
+    for (std::size_t j = 0; j < 3; ++j) {
+        SCOPED_TRACE("sample " + std::to_string(picks[j]));
+        const obs::MetricsSample &s = r.timeseries[picks[j]];
+        EXPECT_EQ(s.cycle, (picks[j] + 1) * kInterval);
+        std::size_t compared = 0;
+        for (const auto &[name, c] : regs[j].counters()) {
+            if (name.rfind("prof.", 0) == 0)
+                continue;
+            ++compared;
+            const std::uint64_t *v = valueOf(s, name);
+            ASSERT_NE(v, nullptr) << name;
+            if (name == "sim.events")
+                EXPECT_EQ(*v + j + 1, c.value());
+            else if (name == "sim.cycles")
+                EXPECT_LT(*v, s.cycle); // the twin's probe reads s.cycle
+            else
+                EXPECT_EQ(*v, c.value()) << name;
+        }
+        EXPECT_EQ(compared, s.names->size());
+    }
+}
+
+TEST(MetricsSampler, LastSampleCarriesTheDrainedState)
+{
+    SystemConfig cfg;
+    constexpr Cycle kInterval = 3000;
+    System sys(cfg, "esp-nuca", makeWorkload("apache", cfg, 3000, 7), 7,
+               0.0);
+    sys.enableMetrics(kInterval);
+    const RunResult r = sys.run();
+    ASSERT_FALSE(r.timeseries.empty());
+    const obs::MetricsSample &last = r.timeseries.back();
+    StatsRegistry reg;
+    sys.collectStats(reg, true);
+    for (const auto &[name, c] : reg.counters()) {
+        if (name.rfind("prof.", 0) == 0)
+            continue;
+        ASSERT_NE(valueOf(last, name), nullptr) << name;
+        EXPECT_EQ(*valueOf(last, name), c.value()) << name;
+    }
+    EXPECT_EQ(*valueOf(last, "proto.in_flight"), 0u);
+    // Stamped with the first boundary after the last event.
+    const Cycle end = reg.counterValue("sim.cycles");
+    EXPECT_GT(last.cycle, end);
+    EXPECT_LE(last.cycle - kInterval, end);
+}
+
+TEST(MetricsSampler, ObserversLeaveTheStatsDumpByteIdentical)
+{
+    const auto dump = [](Cycle interval, Cycle stall) {
+        SystemConfig cfg;
+        cfg.watchdogStallCycles = stall;
+        System sys(cfg, "esp-nuca", makeWorkload("apache", cfg, 3000, 5),
+                   5, 0.25);
+        if (interval > 0)
+            sys.enableMetrics(interval);
+        sys.run();
+        std::ostringstream os;
+        sys.dumpStats(os);
+        return os.str();
+    };
+    const std::string plain = dump(0, 0);
+    EXPECT_EQ(dump(1000, 0), plain);
+    EXPECT_EQ(dump(0, 100000), plain);
+    EXPECT_EQ(dump(1000, 100000), plain);
 }
 
 TEST(MetricsSampler, EspRunYieldsAdaptiveTelemetry)
@@ -83,8 +204,7 @@ TEST(MetricsSampler, EspRunYieldsAdaptiveTelemetry)
     EXPECT_TRUE(any_nmax);
     EXPECT_TRUE(any_ema);
     for (const char *name : {"mesh.flits", "mesh.link_wait",
-                             "mc.0.accesses", "proto.in_flight",
-                             "proto.mshrs"})
+                             "mc.0.accesses", "proto.in_flight"})
         EXPECT_NE(valueOf(last, name), nullptr) << name;
     // Cumulative counters are monotone along the series.
     for (std::size_t i = 1; i < r.timeseries.size(); ++i) {
@@ -201,8 +321,8 @@ TEST(MetricsSampler, TimeseriesIsBitIdenticalAcrossThreads)
 
 TEST(MetricsSampler, CoexistsWithTheWatchdog)
 {
-    // Two auxiliary observers (sampler + watchdog) must not keep each
-    // other alive after real work drains — the run has to terminate.
+    // Both observers run between the same events; the run terminates
+    // and reads as an unobserved one.
     SystemConfig cfg;
     const FaultPlan plan = FaultPlan::parse("watchdog=1000000");
     const Workload wl = makeWorkload("apache", cfg, 3000, 13);

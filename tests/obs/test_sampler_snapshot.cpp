@@ -11,8 +11,12 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/snapshot.hpp"
 #include "harness/report.hpp"
@@ -93,22 +97,11 @@ TEST_P(SamplerSnapshot, SeriesIsContinuousAcrossBoundary)
     ASSERT_TRUE(restored);
     ASSERT_GE(warm.timeseries.size(), 2u);
 
-    // Strictly increasing tick cycles: the restored tail continues the
-    // warmup-side series instead of restarting at cycle 0. Within each
-    // epoch ticks land one interval apart; only the single splice point
-    // at the fast-forward boundary may carry a different (positive)
-    // gap, because the tail epoch re-arms relative to the boundary
-    // drain time.
-    EXPECT_EQ(warm.timeseries.front().cycle, kInterval);
-    std::size_t irregular = 0;
-    for (std::size_t i = 1; i < warm.timeseries.size(); ++i) {
-        ASSERT_LT(warm.timeseries[i - 1].cycle,
-                  warm.timeseries[i].cycle);
-        if (warm.timeseries[i].cycle - warm.timeseries[i - 1].cycle !=
-            kInterval)
-            ++irregular;
-    }
-    EXPECT_LE(irregular, 1u);
+    // The restored tail continues the warmup-side series instead of
+    // restarting at cycle 0: sample i is stamped (i + 1) * interval in
+    // both epochs, across the fast-forward boundary too.
+    for (std::size_t i = 0; i < warm.timeseries.size(); ++i)
+        EXPECT_EQ(warm.timeseries[i].cycle, (i + 1) * kInterval) << i;
     std::filesystem::remove(path);
 }
 
@@ -122,6 +115,36 @@ INSTANTIATE_TEST_SUITE_P(ArchModels, SamplerSnapshot,
                                      c = '_';
                              return n;
                          });
+
+TEST(SamplerSnapshot, SampledCheckpointMatchesUnsampledUpToTheSampler)
+{
+    // The sampler is not an event: a sampled warmup checkpoint holds
+    // the unsampled one's event-queue clock, executed count and FIFO
+    // sequence, and the same machine state, byte for byte, up to the
+    // sampler-presence flag that closes the unsampled body.
+    const auto checkpoint = [](Cycle interval) {
+        const std::string path = tmpPath("body" + std::to_string(interval));
+        std::filesystem::remove(path);
+        SystemConfig cfg;
+        simulatePhased(cfg, "esp-nuca", "apache", kOps, 7, kWarmup,
+                       nullptr, path, nullptr, nullptr, interval);
+        SnapshotReader r = SnapshotReader::fromFile(path);
+        r.header();
+        std::vector<std::uint64_t> queue = {r.u64(), r.u64(), r.u64()};
+        std::ifstream in(path, std::ios::binary);
+        std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+        std::filesystem::remove(path);
+        return std::make_pair(queue, bytes);
+    };
+    const auto [plain_queue, plain] = checkpoint(0);
+    const auto [sampled_queue, sampled] = checkpoint(kInterval);
+    EXPECT_EQ(sampled_queue, plain_queue); // now, executed, seq
+    const std::size_t flag = plain.size() - 5; // before the CRC trailer
+    ASSERT_EQ(plain[flag], 0);
+    ASSERT_EQ(sampled[flag], 1);
+    EXPECT_EQ(sampled.substr(0, flag), plain.substr(0, flag));
+}
 
 TEST(SamplerSnapshot, NameTableChangeAtTheBoundaryRestores)
 {

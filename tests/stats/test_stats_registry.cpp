@@ -58,20 +58,9 @@ TEST(StatsRegistry, ResetClearsEverything)
     StatsRegistry r;
     r.counter("x").inc();
     r.average("y").record(1.0);
-    r.gauge("g").set(3.0);
     r.reset();
     EXPECT_EQ(r.counterValue("x"), 0u);
     EXPECT_TRUE(r.averages().empty());
-    EXPECT_TRUE(r.gauges().empty());
-}
-
-TEST(StatsRegistry, GaugesHoldLastSetValue)
-{
-    StatsRegistry r;
-    r.gauge("watchdog.armed").set(1.0);
-    r.gauge("watchdog.armed").set(0.0);
-    EXPECT_DOUBLE_EQ(r.gauges().at("watchdog.armed").value(), 0.0);
-    EXPECT_EQ(r.gauges().count("absent"), 0u);
 }
 
 TEST(StatsRegistry, ScopeJoinsDottedPaths)
@@ -80,27 +69,21 @@ TEST(StatsRegistry, ScopeJoinsDottedPaths)
     const StatsScope bank = StatsScope(r, "bank").sub("3");
     bank.counter("evictions").inc(2);
     bank.average("occupancy").record(0.5);
-    bank.gauge("nmax").set(4.0);
     EXPECT_EQ(bank.prefix(), "bank.3");
     EXPECT_EQ(r.counterValue("bank.3.evictions"), 2u);
     EXPECT_DOUBLE_EQ(r.averages().at("bank.3.occupancy").mean(), 0.5);
-    EXPECT_DOUBLE_EQ(r.gauges().at("bank.3.nmax").value(), 4.0);
 }
 
 TEST(StatsRegistry, DumpSectionsInFixedOrder)
 {
-    // Counters, then averages, then gauges — legacy dumps (counters +
-    // averages only) must stay byte-stable, so the gauge section
-    // always trails.
+    // Counters, then averages, whatever the name order across them.
     StatsRegistry r;
-    r.gauge("agauge").set(1.0);
     r.average("aavg").record(1.0);
     r.counter("zcounter").inc();
     std::ostringstream os;
     r.dump(os);
     const std::string out = os.str();
     EXPECT_LT(out.find("zcounter"), out.find("aavg"));
-    EXPECT_LT(out.find("aavg"), out.find("agauge"));
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
- * Trace record/replay tests: format round trip, comments, errors,
- * capture-through behaviour.
+ * Trace record/replay tests: format round trip, comments, strict
+ * parsing with named errors, capture-through behaviour.
  */
 
 #include <gtest/gtest.h>
@@ -73,21 +73,55 @@ TEST(TraceFile, MissingFileIsFatal)
                  ".*");
 }
 
-TEST(TraceFile, MalformedLineIsFatal)
+TEST(TraceFile, MalformedLineThrowsNamingFileAndLine)
 {
     const std::string path = tempPath("espnuca_bad.trace");
     {
         std::ofstream out(path);
-        out << "not a trace line\n";
+        out << "# header\n2 L 1000 0\nnot a trace line\n";
     }
-    EXPECT_DEATH(
-        {
-            FileTraceSource src(path);
-            TraceOp op;
-            src.next(op);
-        },
-        ".*");
+    FileTraceSource src(path);
+    TraceOp op;
+    ASSERT_TRUE(src.next(op));
+    try {
+        src.next(op);
+        FAIL() << "malformed line accepted";
+    } catch (const TraceFormatError &e) {
+        EXPECT_EQ(std::string(e.what()).rfind(path + ":3: ", 0), 0u)
+            << e.what();
+    }
     std::filesystem::remove(path);
+}
+
+TEST(TraceFile, LineParserIsStrict)
+{
+    TraceOp op;
+    const auto error = [&op](const std::string &line) {
+        try {
+            parseTraceLine(line, "t", 7, op);
+        } catch (const TraceFormatError &e) {
+            return std::string(e.what());
+        }
+        return std::string("accepted");
+    };
+    // The address is whole hex: no junk after it, no non-hex start.
+    EXPECT_EQ(error("1 L 40zz 0"), "t:7: address: trailing junk in '40zz'");
+    EXPECT_EQ(error("1 L zz 0"), "t:7: address: bad number 'zz'");
+    EXPECT_EQ(error("1 L -40 0"), "t:7: address: bad number '-40'");
+    EXPECT_EQ(error("x L 40 0"), "t:7: gap: bad number 'x'");
+    EXPECT_EQ(error("4294967296 L 40 0"),
+              "t:7: gap: '4294967296' out of range");
+    EXPECT_EQ(error("1 Load 40 0"), "t:7: unknown access type 'Load'");
+    EXPECT_EQ(error("1 L 40 2"), "t:7: dep must be 0 or 1, got '2'");
+    EXPECT_NE(error("1 L 40"), "accepted");
+    EXPECT_NE(error("1 L 40 0 9"), "accepted");
+    ASSERT_TRUE(parseTraceLine("3 I abcd40 1", "t", 1, op));
+    EXPECT_EQ(op.gap, 3u);
+    EXPECT_EQ(op.type, AccessType::Ifetch);
+    EXPECT_EQ(op.addr, 0xABCD40u);
+    EXPECT_TRUE(op.dependsOnPrev);
+    EXPECT_FALSE(parseTraceLine("# comment", "t", 2, op));
+    EXPECT_FALSE(parseTraceLine("", "t", 3, op));
 }
 
 TEST(TraceFile, RecordingSourcePassesThrough)

@@ -12,11 +12,15 @@ by --trace-out. The check fails unless the file parses, contains at
 least one *complete* transaction span ("ph":"X", cat "tx"), and that
 span correlates (via args.tx) with at least one bank-probe and one
 mesh-hop event — i.e. a full transaction lifecycle was captured.
-RUN_JSON, if given, is the --json output of the same run and must carry
-a non-empty "timeseries" of {"cycle", "counters"} samples whose last
-sample has, for every bank, the StatsRegistry names bank.<b>.nmax and
-the three set-class EMAs bank.<b>.hr_ref / hr_conv / hr_exp, plus the
-system series in EXPECTED_COUNTERS.
+RUN_JSON, if given, is the --json --stats output of the same run: the
+"name value" stats dump, then the run document on the last line. The
+document must carry a non-empty "timeseries" of {"cycle", "counters"}
+samples whose last sample has, for every bank, the StatsRegistry names
+bank.<b>.nmax and the three set-class EMAs bank.<b>.hr_ref / hr_conv /
+hr_exp, plus the system series in EXPECTED_COUNTERS. The last sample
+holds the drained state, so its sim.cycles and sim.events must equal
+the stats dump's and the document's "stats" block's: sampling is not
+an event and must not move the clock or the event count.
 
 --counters: the same trace must additionally carry the epoch-telemetry
 counter tracks (pid 5, "ph":"C", one track per sampled registry name):
@@ -42,8 +46,7 @@ import json
 import sys
 
 EXPECTED_COUNTERS = {
-    "proto.mshrs", "proto.in_flight", "mesh.flits", "mesh.link_wait",
-    "mc.0.accesses",
+    "proto.in_flight", "mesh.flits", "mesh.link_wait", "mc.0.accesses",
 }
 
 BANK_SERIES = ("nmax", "hr_ref", "hr_conv", "hr_exp")
@@ -91,7 +94,12 @@ def check_trace(path: str) -> None:
 
 def check_run(path: str) -> None:
     with open(path) as f:
-        doc = json.load(f)
+        lines = f.read().rstrip("\n").split("\n")
+    doc = json.loads(lines[-1])
+    dump = {}
+    for line in lines[:-1]:
+        name, _, value = line.partition(" ")
+        dump[name] = value
     runs = doc["runs"] if isinstance(doc, dict) and "runs" in doc else doc
     if not isinstance(runs, list) or not runs:
         fail(f"{path}: no runs array")
@@ -112,8 +120,17 @@ def check_run(path: str) -> None:
     missing = needed - set(counters)
     if missing:
         fail(f"{path}: timeseries missing {sorted(missing)[:8]}")
+    block = runs[0].get("stats", {}).get("counters", {})
+    if not dump or not block:
+        fail(f"{path}: no stats dump and stats block (run with --stats)")
+    for name in ("sim.cycles", "sim.events"):
+        if not (str(counters.get(name)) == dump.get(name) and
+                counters.get(name) == block.get(name)):
+            fail(f"{path}: last sample {name} {counters.get(name)} != "
+                 f"stats dump {dump.get(name)} / block {block.get(name)}")
     print(f"check_trace: OK: {len(series)} sample(s), "
-          f"{len(banks)} bank(s) with nmax + set-class EMAs")
+          f"{len(banks)} bank(s) with nmax + set-class EMAs, "
+          f"last sample at the drained sim.cycles/sim.events")
 
 
 def check_counters(path: str) -> None:

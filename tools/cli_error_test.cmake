@@ -1,9 +1,13 @@
 # Bad-input check for a tool (SIM): run it with ARGS (space-separated;
-# the token %WORKDIR% names a fresh, empty directory and %FILE% an
-# empty regular file) under the optional ENV assignment, and require
-# exit code 2 plus an error on stderr matching EXPECT.
+# the token %WORKDIR% names a fresh directory, empty unless TRACE gives
+# the one line of its core0.trace, and %FILE% an empty regular file)
+# under the optional ENV assignment, and require exit code 2 plus an
+# error on stderr matching EXPECT.
 file(REMOVE_RECURSE ${WORKDIR})
 file(MAKE_DIRECTORY ${WORKDIR})
+if(TRACE)
+    file(WRITE ${WORKDIR}/core0.trace "${TRACE}\n")
+endif()
 file(WRITE ${WORKDIR}.file "")
 string(REPLACE "%FILE%" "${WORKDIR}.file" args "${ARGS}")
 string(REPLACE "%WORKDIR%" "${WORKDIR}" args "${args}")

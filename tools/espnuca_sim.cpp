@@ -427,7 +427,9 @@ runOnce(const Options &o, std::uint64_t seed, const FaultPlan *plan,
  * One crash-isolated CLI run: retry with a fresh seed-derived stream up
  * to o.retries times, then surface the final failure as data. Attempt 0
  * uses the historical seed formula, so healthy runs are bit-identical
- * to earlier versions of the tool.
+ * to earlier versions of the tool. A malformed replay trace is bad
+ * input, not a failed run: its TraceFormatError propagates, and main
+ * exits 2.
  */
 RunOutcome
 attemptCli(const Options &o, std::uint32_t r, const FaultPlan *plan)
@@ -443,6 +445,8 @@ attemptCli(const Options &o, std::uint32_t r, const FaultPlan *plan)
         try {
             out.result = runOnce(o, seed, plan, traced);
             return out;
+        } catch (const TraceFormatError &) {
+            throw; // bad input: every retry reads the same file
         } catch (const std::exception &e) {
             out.failure = RunFailure{r, seed, a + 1, e.what()};
         }
@@ -553,8 +557,13 @@ main(int argc, char **argv)
         hb.pointHash = runHash(o, r);
         hb.index = r;
         writeHeartbeat(o.heartbeatPath, hb);
-        const RunOutcome out =
-            parallel ? futs[k].get() : attemptCli(o, r, planPtr);
+        RunOutcome out;
+        try {
+            out = parallel ? futs[k].get() : attemptCli(o, r, planPtr);
+        } catch (const TraceFormatError &e) {
+            std::fprintf(stderr, "--replay-trace: %s\n", e.what());
+            return 2;
+        }
         ++hb.done;
         hb.state = "run-done";
         writeHeartbeat(o.heartbeatPath, hb);

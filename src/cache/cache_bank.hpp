@@ -115,14 +115,6 @@ class CacheBank
         return sets_[s].find(addr, mask);
     }
 
-    /** Find `addr` in set `s` under an arbitrary predicate. */
-    template <typename Pred>
-    int
-    find(std::uint32_t s, Addr addr, Pred &&pred) const
-    {
-        return sets_[s].find(addr, std::forward<Pred>(pred));
-    }
-
     /** Find `addr` in set `s` under any class. */
     int
     findAny(std::uint32_t s, Addr addr) const

@@ -1,9 +1,8 @@
 /**
  * @file
  * A w-way set in struct-of-arrays layout. Policies query the set through
- * class masks (the common case — how the paper's "private bit added to
- * the tag comparison" and "LRU among the helping blocks" rules are
- * expressed) or through arbitrary predicates via the template overloads.
+ * class masks — how the paper's "private bit added to the tag
+ * comparison" and "LRU among the helping blocks" rules are expressed.
  *
  * Hot-path layout (DESIGN.md 5.10): the per-way tags live in one packed
  * contiguous array and the valid/class occupancy is kept as u32 way
@@ -202,20 +201,6 @@ class CacheSet
         return kNoWay;
     }
 
-    /** Find a valid way holding `addr` and satisfying `pred`. */
-    template <typename Pred>
-    int
-    find(Addr addr, Pred &&pred) const
-    {
-        const Addr *tags = tag_.data();
-        for (std::uint32_t cand = validMask_; cand != 0; cand &= cand - 1) {
-            const int i = __builtin_ctz(cand);
-            if (tags[i] == addr && pred(way(i)))
-                return i;
-        }
-        return kNoWay;
-    }
-
     /** Find a valid way holding `addr` under any class. */
     int
     findAny(Addr addr) const
@@ -316,24 +301,6 @@ class CacheSet
         return best;
     }
 
-    /** LRU-most valid way satisfying `pred`, or kNoWay. */
-    template <typename Pred>
-    int
-    lruAmong(Pred &&pred) const
-    {
-        int best = kNoWay;
-        int best_rank = -1;
-        for (std::uint32_t cand = validMask_; cand != 0; cand &= cand - 1) {
-            const int i = __builtin_ctz(cand);
-            if (pred(way(i)) &&
-                rank_[static_cast<std::size_t>(i)] > best_rank) {
-                best = i;
-                best_rank = rank_[static_cast<std::size_t>(i)];
-            }
-        }
-        return best;
-    }
-
     /** Globally LRU valid way, or kNoWay when the set is empty. */
     int
     lruWay() const
@@ -347,19 +314,6 @@ class CacheSet
     {
         return static_cast<std::uint32_t>(
             __builtin_popcount(waysMatching(mask)));
-    }
-
-    /** Count valid ways satisfying `pred`. */
-    template <typename Pred>
-    std::uint32_t
-    countIf(Pred &&pred) const
-    {
-        std::uint32_t n = 0;
-        for (std::uint32_t cand = validMask_; cand != 0; cand &= cand - 1) {
-            if (pred(way(__builtin_ctz(cand))))
-                ++n;
-        }
-        return n;
     }
 
     /** Number of valid helping blocks (the paper's per-set `n` counter). */
@@ -382,83 +336,69 @@ class CacheSet
     // -- Snapshot/restore ----------------------------------------------
 
     /**
-     * Serialize the full logical state in the v5 checkpoint layout:
-     * 64-bit occupancy masks, an LRU age stamp per way (larger = more
-     * recent) bracketed by the last MRU stamp `hi` and the lowest LRU
-     * stamp `lo`, and each way as a full BlockMeta record, whose addr
-     * and valid fields repeat the tag and the valid mask. Ranks are
-     * written as the stamps ways - rank, with hi = ways and lo = 1.
+     * Serialize the set in its in-memory layout (snapshot v7): the way
+     * count and the disabled mask as u32, then per way the tag (u64),
+     * the recency rank (u8) and the 5-byte cold record. The valid and
+     * class masks are not written: they are functions of the tags and
+     * the records.
      */
     void
     save(SnapshotWriter &w) const
     {
         w.u32(ways_);
-        w.u64(validMask_);
-        for (const auto cw : classWays_)
-            w.u64(cw);
-        w.u64(disabledMask_);
-        w.i64(static_cast<std::int64_t>(ways_));
-        w.i64(1);
+        w.u32(disabledMask_);
         for (std::uint32_t i = 0; i < ways_; ++i) {
-            const BlockMeta m = way(static_cast<int>(i));
+            const WayRecord &m = rec_[i];
             w.u64(tag_[i]);
-            w.i64(static_cast<std::int64_t>(ways_ - rank_[i]));
-            w.u64(m.addr);
-            w.b(m.valid);
+            w.u8(rank_[i]);
+            w.u8(m.cls);
+            w.u8(m.owner);
             w.b(m.dirty);
-            w.u8(static_cast<std::uint8_t>(m.cls));
-            w.u32(m.owner);
             w.b(m.hasOwnerToken);
             w.u8(m.hits);
         }
     }
 
-    /** Restore a save() record, or any v5 record: a way's rank is the
-     *  number of ways with a larger stamp. Throws SnapshotError on a
-     *  record the compact layout cannot hold: a mask bit beyond the
-     *  set's ways, two ways with the same stamp, a way whose addr/valid
-     *  disagree with its tag and the valid mask, a class beyond
-     *  BlockClass, or an owner that is neither kInvalidCore nor below
-     *  kMaxCores. */
+    /** Restore a save() record, rebuilding the valid mask from the tags
+     *  and the class masks from the valid ways' records. Throws
+     *  SnapshotError on a way-count mismatch, a disabled bit beyond the
+     *  set's ways, a valid way that is also disabled, ranks that are not
+     *  a permutation of 0..w-1, a class beyond BlockClass, or an owner
+     *  byte that is neither kNoOwner nor below kMaxCores. */
     void
     load(SnapshotReader &r)
     {
         if (r.u32() != ways_)
             throw SnapshotError("cache set way-count mismatch");
-        validMask_ = readMask(r);
-        for (auto &cw : classWays_)
-            cw = readMask(r);
-        disabledMask_ = readMask(r);
-        r.i64(); // hi and lo: stamps are only compared with each other
-        r.i64();
-        std::array<std::int64_t, kMaxWays> stamp{};
+        disabledMask_ = r.u32();
+        if (disabledMask_ & ~wayMask_)
+            throw SnapshotError("cache set mask beyond its ways");
+        validMask_ = 0;
+        classWays_.fill(0);
+        std::uint32_t seen_ranks = 0;
         for (std::uint32_t i = 0; i < ways_; ++i) {
             WayRecord &m = rec_[i];
             tag_[i] = r.u64();
-            stamp[i] = r.i64();
-            const Addr addr = r.u64();
-            const bool valid = r.b();
-            if (valid != ((validMask_ >> i) & 1u) || addr != tag_[i])
-                throw SnapshotError("cache way disagrees with its tag");
-            m.dirty = r.b();
+            rank_[i] = r.u8();
             m.cls = r.u8();
-            if (m.cls > clsIndex(BlockClass::Victim))
-                throw SnapshotError("cache way class out of range");
-            const auto owner = static_cast<CoreId>(r.u32());
-            if (owner != kInvalidCore && owner >= kMaxCores)
-                throw SnapshotError("cache way owner out of range");
-            m.owner = packOwner(owner);
+            m.owner = r.u8();
+            m.dirty = r.b();
             m.hasOwnerToken = r.b();
             m.hits = r.u8();
-        }
-        for (std::uint32_t i = 0; i < ways_; ++i) {
-            std::uint32_t newer = 0;
-            for (std::uint32_t j = 0; j < ways_; ++j) {
-                if (j != i && stamp[j] == stamp[i])
-                    throw SnapshotError("cache ways share a recency stamp");
-                newer += stamp[j] > stamp[i];
-            }
-            rank_[i] = static_cast<std::uint8_t>(newer);
+            if (rank_[i] >= ways_ || (seen_ranks >> rank_[i]) & 1u)
+                throw SnapshotError("cache set ranks are not a permutation");
+            seen_ranks |= std::uint32_t{1} << rank_[i];
+            if (m.cls > clsIndex(BlockClass::Victim))
+                throw SnapshotError("cache way class out of range");
+            if (m.owner != kNoOwner && m.owner >= kMaxCores)
+                throw SnapshotError("cache way owner out of range");
+            if (tag_[i] == kInvalidAddr)
+                continue;
+            const std::uint32_t bit = std::uint32_t{1} << i;
+            if (disabledMask_ & bit)
+                throw SnapshotError("cache way is valid and disabled");
+            validMask_ |= bit;
+            classWays_[m.cls] |= bit;
         }
     }
 
@@ -507,16 +447,6 @@ class CacheSet
     {
         checkWay(w);
         return std::uint32_t{1} << static_cast<std::uint32_t>(w);
-    }
-
-    /** Read one 64-bit snapshot way mask; it must fit the set. */
-    std::uint32_t
-    readMask(SnapshotReader &r) const
-    {
-        const std::uint64_t m = r.u64();
-        if (m & ~std::uint64_t{wayMask_})
-            throw SnapshotError("cache set mask beyond its ways");
-        return static_cast<std::uint32_t>(m);
     }
 
     /** Valid ways whose class is in `mask` (the tag-comparison filter). */

@@ -414,19 +414,6 @@ class Directory
             forgettable_.push_back(a);
     }
 
-    /** Move the L2 owner-token copy from one bank to another. */
-    void
-    moveL2(Addr a, BankId from, BankId to)
-    {
-        BlockInfo &e = entry(a);
-        ESP_ASSERT(e.hasL2Copy(from), "moving from a non-copy bank");
-        ESP_ASSERT(!e.hasL2Copy(to), "destination already holds a copy");
-        e.clearL2(from);
-        e.setL2(to);
-        if (e.ownerKind_ == OwnerKind::L2Bank && e.ownerIndex_ == from)
-            e.setOwner(OwnerKind::L2Bank, to);
-    }
-
     // -- Forgetting off-chip blocks -------------------------------------
 
     /**

@@ -35,8 +35,8 @@ Protocol::Protocol(const SystemConfig &cfg, const Topology &topo,
 Protocol::~Protocol()
 {
     // Transactions still in flight when the simulation is torn down
-    // (e.g. a bounded runUntil) live on the slab; destroy them so
-    // their waiter vectors are released.
+    // (e.g. a watchdog abort mid-run) live on the slab; destroy them
+    // so their waiter vectors are released.
     for (auto &[key, tx] : mshrs_)
         txSlab_.release(tx);
 }

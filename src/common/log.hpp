@@ -195,22 +195,6 @@ logMessage(LogLevel l, const char *comp, const std::string &msg)
                                   (msg)); \
     } while (0)
 
-/** Non-fatal warning to stderr (legacy spelling of ESP_LOG(Warn, ...)). */
-inline void
-warn(const std::string &msg)
-{
-    if (logEnabled(LogLevel::Warn, "sim"))
-        logMessage(LogLevel::Warn, "sim", msg);
-}
-
-/** Informational message to stderr (legacy spelling). */
-inline void
-inform(const std::string &msg)
-{
-    if (logEnabled(LogLevel::Info, "sim"))
-        logMessage(LogLevel::Info, "sim", msg);
-}
-
 } // namespace espnuca
 
 #endif // ESPNUCA_COMMON_LOG_HPP_

@@ -86,7 +86,10 @@ inline constexpr std::uint32_t kSnapshotMagic = 0x4E505345; // "ESPN"
 // v6: the sampler section stores StatsRegistry samples: per sample the
 //     cycle, a name table when it differs from the previous sample's,
 //     and one value per name (no fixed per-bank record).
-inline constexpr std::uint32_t kSnapshotVersion = 6;
+// v7: a cache set is stored in its in-memory layout: u32 way count and
+//     disabled mask, then per way the tag, the u8 recency rank and the
+//     5-byte cold record (no masks, stamps or repeated addr/valid).
+inline constexpr std::uint32_t kSnapshotVersion = 7;
 
 /** Identity a snapshot is bound to; all fields must match on restore. */
 struct SnapshotIdentity

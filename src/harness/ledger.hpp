@@ -26,8 +26,7 @@
  * Emission is a process-global handle (RunLedger::process()) so deep
  * components (checkpoint save/load in simulatePhased, watchdog fires
  * and retries in attemptRun) can emit without plumbing a ledger
- * through every layer; the handle no-ops until opened, and compiles
- * out entirely with ESPNUCA_OBS=OFF.
+ * through every layer; the handle no-ops until opened.
  */
 
 #ifndef ESPNUCA_HARNESS_LEDGER_HPP_
@@ -47,7 +46,6 @@
 #include "common/rng.hpp"
 #include "harness/json.hpp"
 #include "harness/json_parse.hpp"
-#include "obs/obs_switch.hpp"
 
 namespace espnuca {
 
@@ -216,16 +214,13 @@ class RunLedger
     /**
      * Open (append mode) and adopt the identity every subsequent emit
      * is stamped with. Best-effort: failure leaves the ledger closed
-     * and the work unaffected. No-op with ESPNUCA_OBS=OFF — the
-     * ledger/status path must cost nothing when observability is
-     * compiled out.
+     * and the work unaffected.
      */
     bool
     open(const std::string &path, const std::string &run_id,
          const std::string &build, const std::string &role,
          std::uint32_t shard)
     {
-#if ESPNUCA_OBS_ENABLED
         std::lock_guard<std::mutex> lock(mu_);
         closeLocked();
         fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
@@ -237,14 +232,6 @@ class RunLedger
         shard_ = shard;
         seq_ = 0;
         return true;
-#else
-        (void)path;
-        (void)run_id;
-        (void)build;
-        (void)role;
-        (void)shard;
-        return false;
-#endif
     }
 
     void
@@ -272,7 +259,6 @@ class RunLedger
     void
     emit(LedgerEvent e)
     {
-#if ESPNUCA_OBS_ENABLED
         std::lock_guard<std::mutex> lock(mu_);
         if (fd_ < 0)
             return;
@@ -296,9 +282,6 @@ class RunLedger
             }
             off += static_cast<std::size_t>(n);
         }
-#else
-        (void)e;
-#endif
     }
 
     /** Convenience: emit an event with just a type (+ value/detail). */

@@ -8,8 +8,7 @@
  * Usage: ESP_PROF_SCOPE("proto.access"); at the top of a scope. The
  * site name is registered once (function-local static, mutex only at
  * registration); the per-call cost when profiling is runtime-disabled
- * is one relaxed atomic load. With ESPNUCA_OBS=OFF the macro expands to
- * nothing at all.
+ * is one relaxed atomic load.
  *
  * Accumulators are thread_local, so parallel harness workers profile
  * without synchronization; collect() must run while workers are idle
@@ -30,13 +29,10 @@
 #include <utility>
 #include <vector>
 
-#include "obs/obs_switch.hpp"
 #include "stats/stats_registry.hpp"
 
 namespace espnuca {
 namespace obs {
-
-#if ESPNUCA_OBS_ENABLED
 
 /** Global runtime gate; off by default (one relaxed load per scope). */
 inline std::atomic<bool> &
@@ -209,36 +205,6 @@ class ProfScope
         ::espnuca::obs::ProfRegistry::instance().site(name); \
     ::espnuca::obs::ProfScope ESP_PROF_CONCAT(esp_prof_scope_, __LINE__)( \
         ESP_PROF_CONCAT(esp_prof_site_, __LINE__))
-
-#else // !ESPNUCA_OBS_ENABLED
-
-inline bool
-profilingEnabled()
-{
-    return false;
-}
-inline void
-setProfiling(bool)
-{
-}
-
-/** Compiled-out stub keeping the collection call sites unconditional. */
-class ProfRegistry
-{
-  public:
-    static ProfRegistry &
-    instance()
-    {
-        static ProfRegistry reg;
-        return reg;
-    }
-    void collect(StatsRegistry &) {}
-    void reset() {}
-};
-
-#define ESP_PROF_SCOPE(name) ((void)0)
-
-#endif // ESPNUCA_OBS_ENABLED
 
 } // namespace obs
 } // namespace espnuca

@@ -11,9 +11,6 @@
  * append — lock-free by construction. Recording is strictly read-only
  * with respect to simulation state: a traced run produces bit-identical
  * statistics to an untraced one.
- *
- * With ESPNUCA_OBS=OFF, enabled() is constexpr false and record() is an
- * empty inline body, so every emission site compiles away.
  */
 
 #ifndef ESPNUCA_OBS_TRACE_BUFFER_HPP_
@@ -25,7 +22,6 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "obs/obs_switch.hpp"
 
 namespace espnuca {
 namespace obs {
@@ -124,7 +120,6 @@ static_assert(sizeof(TraceRecord) == 32, "trace record grew past 32B");
 class Tracer
 {
   public:
-#if ESPNUCA_OBS_ENABLED
     bool enabled() const { return mode_ != Mode::Off; }
 
     /** Capture everything matching `mask` until drained. */
@@ -222,20 +217,6 @@ class Tracer
     std::uint64_t currentTx_ = 0;
     Mode mode_ = Mode::Off;
     std::uint8_t mask_ = kCatAll;
-#else
-    static constexpr bool enabled() { return false; }
-    void enableFull(std::uint8_t = kCatAll) {}
-    void enableRing(std::size_t, std::uint8_t = kCatAll) {}
-    void record(TraceKind, Cycle, std::uint64_t, Addr, std::uint16_t,
-                std::uint8_t, std::uint32_t)
-    {
-    }
-    void setCurrentTx(std::uint64_t) {}
-    static constexpr std::uint64_t currentTx() { return 0; }
-    std::vector<TraceRecord> snapshot() const { return {}; }
-    std::vector<TraceRecord> tail(std::size_t) const { return {}; }
-    static constexpr std::size_t size() { return 0; }
-#endif
 };
 
 /** Records kept for the watchdog's post-mortem tail. */

@@ -164,19 +164,6 @@ class EventQueue
         drain();
     }
 
-    /**
-     * Run until the queue drains or the clock would pass `limit`.
-     * Events scheduled exactly at `limit` do run.
-     */
-    void
-    runUntil(Cycle limit)
-    {
-        while (pending_ != 0 && nextEventTime() <= limit)
-            step();
-        if (now_ < limit && pending_ == 0)
-            now_ = limit;
-    }
-
     /** Total events executed so far (diagnostic). */
     std::uint64_t executed() const { return executed_; }
 

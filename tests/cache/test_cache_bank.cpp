@@ -62,10 +62,9 @@ TEST_F(BankFixture, InsertAndFind)
 TEST_F(BankFixture, FindRespectsClassPredicate)
 {
     bank.insert(0, makeBlock(0x1000, BlockClass::Private));
-    const int w = bank.find(0, 0x1000, [](const BlockMeta &m) {
-        return m.cls == BlockClass::Shared;
-    });
-    EXPECT_EQ(w, kNoWay);
+    EXPECT_EQ(bank.find(0, 0x1000, kMatchShared), kNoWay);
+    EXPECT_EQ(bank.find(0, 0x1000, kMatchHelping), kNoWay);
+    EXPECT_NE(bank.find(0, 0x1000, kMatchPrivate), kNoWay);
 }
 
 TEST_F(BankFixture, FullSetEvictsLru)

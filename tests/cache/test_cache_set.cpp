@@ -1,6 +1,6 @@
 /**
  * @file
- * LRU set mechanics: recency ordering, predicate search, helping count;
+ * LRU set mechanics: recency ordering, class-mask search, helping count;
  * the compact per-way record at its limits and its snapshot record.
  */
 
@@ -33,16 +33,10 @@ TEST(CacheSet, FindsByAddressAndPredicate)
     CacheSet s(4);
     s.assign(0, makeBlock(0x100, BlockClass::Private));
     s.assign(1, makeBlock(0x100, BlockClass::Shared));
-    const int priv = s.find(0x100, [](const BlockMeta &m) {
-        return m.cls == BlockClass::Private;
-    });
-    const int sh = s.find(0x100, [](const BlockMeta &m) {
-        return m.cls == BlockClass::Shared;
-    });
-    EXPECT_EQ(priv, 0);
-    EXPECT_EQ(sh, 1);
-    EXPECT_EQ(s.find(0x200, [](const BlockMeta &) { return true; }),
-              kNoWay);
+    EXPECT_EQ(s.find(0x100, kMatchPrivate), 0);
+    EXPECT_EQ(s.find(0x100, kMatchShared), 1);
+    EXPECT_EQ(s.find(0x100, kMatchHelping), kNoWay);
+    EXPECT_EQ(s.find(0x200, kMatchAny), kNoWay);
 }
 
 TEST(CacheSet, InvalidBlocksNeverMatch)
@@ -86,12 +80,8 @@ TEST(CacheSet, LruAmongFiltersByClass)
     s.assign(3, makeBlock(0x100, BlockClass::Victim));
     for (int i = 0; i < 4; ++i)
         s.touch(i); // recency: 3 MRU .. 0 LRU
-    const int lru_helping = s.lruAmong(
-        [](const BlockMeta &m) { return isHelping(m.cls); });
-    EXPECT_EQ(lru_helping, 1); // replica older than victim
-    const int lru_private = s.lruAmong(
-        [](const BlockMeta &m) { return m.cls == BlockClass::Private; });
-    EXPECT_EQ(lru_private, 0);
+    EXPECT_EQ(s.lruAmong(kMatchHelping), 1); // replica older than victim
+    EXPECT_EQ(s.lruAmong(kMatchPrivate), 0);
 }
 
 TEST(CacheSet, InvalidWayFoundFirst)
@@ -131,10 +121,9 @@ TEST(CacheSet, CountIf)
     s.assign(0, makeBlock(0x40, BlockClass::Private));
     s.assign(1, makeBlock(0x80, BlockClass::Private));
     s.assign(2, makeBlock(0xC0, BlockClass::Shared));
-    EXPECT_EQ(s.countIf([](const BlockMeta &m) {
-                  return m.cls == BlockClass::Private;
-              }),
-              2u);
+    EXPECT_EQ(s.countIf(kMatchPrivate), 2u);
+    EXPECT_EQ(s.countIf(kMatchFirstClass), 3u);
+    EXPECT_EQ(s.countIf(kMatchHelping), 0u);
 }
 
 // -- The compact per-way record --------------------------------------
@@ -330,16 +319,19 @@ TEST(CacheSetRecord, DirtyAndTokenBitsThroughEveryMutator)
 
 // -- The snapshot record ------------------------------------------------
 
-/** Byte offsets into CacheSet::save()'s record (the v5 layout): a
- *  68-byte header (ways, valid mask, four class masks, disabled mask,
- *  hi, lo), then 33 bytes per way. */
-constexpr std::size_t kSetHeaderBytes = 4 + 8 + 4 * 8 + 8 + 8 + 8;
-constexpr std::size_t kWayBytes = 8 + 8 + 8 + 1 + 1 + 1 + 4 + 1 + 1;
-constexpr std::size_t kWayAddr = 16;
-constexpr std::size_t kWayValid = 24;
-constexpr std::size_t kWayOwner = 27;
+/** Byte offsets into CacheSet::save()'s record (snapshot v7): an 8-byte
+ *  header (way count, disabled mask), then 14 bytes per way. */
+constexpr std::size_t kSetHeaderBytes = 4 + 4;
+constexpr std::size_t kSetDisabled = 4;
+constexpr std::size_t kWayBytes = 8 + 1 + 5;
+constexpr std::size_t kWayRank = 8;
+constexpr std::size_t kWayClass = 9;
+constexpr std::size_t kWayOwner = 10;
+constexpr std::size_t kWayDirty = 11;
+constexpr std::size_t kWayToken = 12;
+constexpr std::size_t kWayHits = 13;
 
-/** A 4-way set holding a spread of record values. */
+/** A 4-way set holding a spread of record values; way 2 is invalid. */
 CacheSet
 populatedSet()
 {
@@ -369,12 +361,53 @@ saved(const CacheSet &s)
     return w.bytes();
 }
 
-void
-putU32(std::string &bytes, std::size_t at, std::uint32_t v)
+std::uint64_t
+getLe(const std::string &bytes, std::size_t at, int n)
 {
-    for (int i = 0; i < 4; ++i)
-        bytes[at + static_cast<std::size_t>(i)] =
-            static_cast<char>((v >> (8 * i)) & 0xFF);
+    std::uint64_t v = 0;
+    for (int i = n - 1; i >= 0; --i)
+        v = (v << 8) |
+            static_cast<std::uint8_t>(bytes[at + static_cast<std::size_t>(i)]);
+    return v;
+}
+
+std::size_t
+wayAt(int w, std::size_t field)
+{
+    return kSetHeaderBytes + static_cast<std::size_t>(w) * kWayBytes + field;
+}
+
+void
+expectLoadRejected(const std::string &bytes, std::uint32_t ways = 4)
+{
+    CacheSet s(ways);
+    SnapshotReader r(bytes);
+    EXPECT_THROW(s.load(r), SnapshotError);
+}
+
+TEST(CacheSetSnapshot, RecordIsTheInMemoryLayout)
+{
+    const CacheSet s = populatedSet();
+    const std::string b = saved(s);
+    ASSERT_EQ(b.size(), kSetHeaderBytes + 4 * kWayBytes);
+    EXPECT_EQ(getLe(b, 0, 4), 4u);
+    EXPECT_EQ(getLe(b, kSetDisabled, 4), 0u);
+    EXPECT_EQ(getLe(b, wayAt(0, 0), 8), 0x40u);
+    EXPECT_EQ(getLe(b, wayAt(2, 0), 8), kInvalidAddr);
+    for (int w = 0; w < 4; ++w)
+        EXPECT_EQ(getLe(b, wayAt(w, kWayRank), 1), s.recencyOf(w));
+    EXPECT_EQ(getLe(b, wayAt(0, kWayClass), 1),
+              static_cast<std::uint64_t>(BlockClass::Victim));
+    EXPECT_EQ(getLe(b, wayAt(0, kWayOwner), 1), kMaxCores - 1);
+    EXPECT_EQ(getLe(b, wayAt(0, kWayDirty), 1), 1u);
+    EXPECT_EQ(getLe(b, wayAt(0, kWayToken), 1), 1u);
+    EXPECT_EQ(getLe(b, wayAt(0, kWayHits), 1), 255u);
+    EXPECT_EQ(getLe(b, wayAt(1, kWayOwner), 1), 0u);
+    EXPECT_EQ(getLe(b, wayAt(3, kWayOwner), 1), 0xFFu); // no owner
+    EXPECT_EQ(getLe(b, wayAt(3, kWayHits), 1), 1u);
+    // The paper's machine: a 16-way L2 set and a 4-way L1 set.
+    EXPECT_EQ(saved(CacheSet(16)).size(), 232u);
+    EXPECT_EQ(saved(CacheSet(4)).size(), 64u);
 }
 
 TEST(CacheSetSnapshot, SaveLoadSaveIsByteIdentical)
@@ -385,6 +418,7 @@ TEST(CacheSetSnapshot, SaveLoadSaveIsByteIdentical)
     CacheSet back(4);
     SnapshotReader r(first);
     back.load(r);
+    r.finish();
     EXPECT_EQ(saved(back), first);
     for (int w = 0; w < 4; ++w) {
         const BlockMeta a = s.way(w);
@@ -398,107 +432,85 @@ TEST(CacheSetSnapshot, SaveLoadSaveIsByteIdentical)
         EXPECT_EQ(a.hits, b.hits);
         EXPECT_EQ(s.recencyOf(w), back.recencyOf(w));
     }
+    for (const ClassMask m : {kMatchPrivate, kMatchShared, kMatchReplica,
+                              kMatchVictim, kMatchHelping, kMatchAny})
+        EXPECT_EQ(back.countIf(m), s.countIf(m)) << "mask " << int{m};
+    EXPECT_EQ(back.invalidWay(), 2);
 }
 
-/** Write a v5 record for a 4-way set the way a stamp-keeping writer
- *  would: sparse, arbitrary stamps and its own hi/lo brackets. */
-std::string
-stampRecord(const std::int64_t (&stamps)[4], std::uint64_t valid_mask)
+TEST(CacheSetSnapshot, DisabledWaysRoundTrip)
 {
-    SnapshotWriter w;
-    w.u32(4);
-    w.u64(valid_mask);
-    w.u64(valid_mask); // every valid way Private
-    w.u64(0);
-    w.u64(0);
-    w.u64(0);
-    w.u64(0); // disabled
-    w.i64(9000);
-    w.i64(-500);
-    for (std::uint32_t i = 0; i < 4; ++i) {
-        const bool valid = (valid_mask >> i) & 1u;
-        const Addr a = valid ? 0x40 * (i + 1) : kInvalidAddr;
-        w.u64(a);
-        w.i64(stamps[i]);
-        w.u64(a);
-        w.b(valid);
-        w.b(false);
-        w.u8(0);
-        w.u32(kInvalidCore);
-        w.b(false);
-        w.u8(0);
-    }
-    return w.bytes();
+    CacheSet s(8);
+    s.disableWays(0x81);
+    s.assign(3, makeBlock(0x40, BlockClass::Replica));
+    const std::string first = saved(s);
+    EXPECT_EQ(getLe(first, kSetDisabled, 4), 0x81u);
+    CacheSet back(8);
+    SnapshotReader r(first);
+    back.load(r);
+    EXPECT_TRUE(back.wayDisabled(0));
+    EXPECT_TRUE(back.wayDisabled(7));
+    EXPECT_EQ(back.enabledWays(), 6u);
+    EXPECT_EQ(back.invalidWay(), 1);
+    EXPECT_EQ(back.helpingCount(), 1u);
+    EXPECT_EQ(saved(back), first);
 }
 
-TEST(CacheSetSnapshot, SparseStampsLoadAsTheirOrder)
+TEST(CacheSetSnapshot, RejectsWayCountMismatch)
 {
-    const std::int64_t stamps[4] = {-7, 103, 12, 55};
-    const std::string rec = stampRecord(stamps, 0xF);
-    CacheSet s(4);
-    SnapshotReader r(rec);
-    s.load(r);
-    r.finish();
-    EXPECT_EQ(s.recencyOf(1), 0u);
-    EXPECT_EQ(s.recencyOf(3), 1u);
-    EXPECT_EQ(s.recencyOf(2), 2u);
-    EXPECT_EQ(s.recencyOf(0), 3u);
-    EXPECT_EQ(s.lruWay(), 0);
-    // Written back as canonical stamps, which load to the same order
-    // and then save to the same bytes.
-    const std::string canon = saved(s);
-    CacheSet back(4);
-    SnapshotReader r2(canon);
-    back.load(r2);
-    for (int w = 0; w < 4; ++w)
-        EXPECT_EQ(back.recencyOf(w), s.recencyOf(w));
-    EXPECT_EQ(saved(back), canon);
-}
-
-TEST(CacheSetSnapshot, RejectsRepeatedStamps)
-{
-    const std::int64_t stamps[4] = {4, 9, 2, 9};
-    const std::string rec = stampRecord(stamps, 0x5);
-    CacheSet s(4);
-    SnapshotReader r(rec);
-    EXPECT_THROW(s.load(r), SnapshotError);
+    const std::string good = saved(populatedSet());
+    expectLoadRejected(good, 8);
+    std::string bad = good;
+    bad[0] = 3;
+    expectLoadRejected(bad);
 }
 
 TEST(CacheSetSnapshot, RejectsMaskBitsBeyondTheWays)
 {
-    const std::int64_t stamps[4] = {4, 3, 2, 1};
-    // A valid bit at way 4 of a 4-way set.
-    const std::string rec = stampRecord(stamps, 0x1F);
-    CacheSet s(4);
-    SnapshotReader r(rec);
-    EXPECT_THROW(s.load(r), SnapshotError);
+    // A disabled bit at way 4 of a 4-way set.
+    std::string bad = saved(CacheSet(4));
+    bad[kSetDisabled] = 0x10;
+    expectLoadRejected(bad);
 }
 
-void
-expectLoadRejected(const std::string &bytes)
+TEST(CacheSetSnapshot, RejectsValidWayThatIsDisabled)
 {
+    std::string bad = saved(populatedSet());
+    bad[kSetDisabled] = 0x2; // way 1 holds 0x80
+    expectLoadRejected(bad);
+    // The invalid way 2 may be disabled.
+    std::string ok = saved(populatedSet());
+    ok[kSetDisabled] = 0x4;
     CacheSet s(4);
-    SnapshotReader r(bytes);
-    EXPECT_THROW(s.load(r), SnapshotError);
+    SnapshotReader r(ok);
+    s.load(r);
+    EXPECT_TRUE(s.wayDisabled(2));
+    EXPECT_EQ(s.invalidWay(), kNoWay);
 }
 
-TEST(CacheSetSnapshot, RejectsWayDisagreeingWithTagOrValidMask)
+TEST(CacheSetSnapshot, RejectsRanksThatAreNotAPermutation)
 {
     const std::string good = saved(populatedSet());
-    // A stored addr that is not the way's tag (valid way 0).
+    // A repeated rank.
     std::string bad = good;
-    bad[kSetHeaderBytes + kWayAddr] ^= 0x01;
+    bad[wayAt(0, kWayRank)] = bad[wayAt(1, kWayRank)];
     expectLoadRejected(bad);
-    // An invalid way (2) whose stored addr is a block.
+    // A rank beyond the set's ways.
     bad = good;
-    bad[kSetHeaderBytes + 2 * kWayBytes + kWayAddr] = 0x40;
+    bad[wayAt(2, kWayRank)] = 4;
     expectLoadRejected(bad);
-    // A valid flag the valid mask does not have, and the reverse.
-    bad = good;
-    bad[kSetHeaderBytes + 2 * kWayBytes + kWayValid] = 1;
+    bad[wayAt(2, kWayRank)] = static_cast<char>(0xFF);
     expectLoadRejected(bad);
-    bad = good;
-    bad[kSetHeaderBytes + kWayValid] = 0;
+}
+
+TEST(CacheSetSnapshot, RejectsClassBeyondVictim)
+{
+    std::string bad = saved(populatedSet());
+    bad[wayAt(1, kWayClass)] = 4;
+    expectLoadRejected(bad);
+    // Also on an invalid way: its record is restored as written.
+    bad = saved(populatedSet());
+    bad[wayAt(2, kWayClass)] = static_cast<char>(0xFF);
     expectLoadRejected(bad);
 }
 
@@ -506,22 +518,68 @@ TEST(CacheSetSnapshot, RejectsOwnerBeyondTheCoreRange)
 {
     const std::string good = saved(populatedSet());
     for (const std::uint32_t owner :
-         {std::uint32_t{kMaxCores}, std::uint32_t{0xFF},
-          std::uint32_t{0x100}, kInvalidCore - 1}) {
+         {std::uint32_t{kMaxCores}, std::uint32_t{0x80},
+          std::uint32_t{0xFE}}) {
         SCOPED_TRACE(owner);
         std::string bad = good;
-        putU32(bad, kSetHeaderBytes + kWayOwner, owner);
+        bad[wayAt(0, kWayOwner)] = static_cast<char>(owner);
         expectLoadRejected(bad);
     }
-    // The limits themselves load.
-    for (const std::uint32_t owner : {0u, kMaxCores - 1, kInvalidCore}) {
+    // The limits themselves load; 0xFF is "no owner".
+    for (const std::uint32_t owner : {0u, kMaxCores - 1, 0xFFu}) {
         std::string ok = good;
-        putU32(ok, kSetHeaderBytes + kWayOwner, owner);
+        ok[wayAt(0, kWayOwner)] = static_cast<char>(owner);
         CacheSet s(4);
         SnapshotReader r(ok);
         s.load(r);
-        EXPECT_EQ(s.way(0).owner, owner);
+        EXPECT_EQ(s.way(0).owner, owner == 0xFF ? kInvalidCore : owner);
     }
+}
+
+/** A loaded set is consistent: its masks, counts and ranks agree with
+ *  its ways, whatever image the loader accepted. */
+void
+expectSetAgreesWithItsWays(const CacheSet &s)
+{
+    std::uint32_t helping = 0;
+    for (std::uint32_t w = 0; w < s.numWays(); ++w) {
+        const int wi = static_cast<int>(w);
+        const BlockMeta m = s.way(wi);
+        if (!m.valid)
+            continue;
+        EXPECT_EQ(s.find(m.addr, classBit(m.cls)), wi) << "way " << w;
+        EXPECT_FALSE(s.wayDisabled(wi)) << "way " << w;
+        helping += isHelping(m.cls);
+    }
+    EXPECT_EQ(s.helpingCount(), helping);
+    const int lru = s.lruAmong(kMatchHelping);
+    if (lru != kNoWay) {
+        EXPECT_TRUE(s.way(lru).valid);
+        EXPECT_TRUE(isHelping(s.way(lru).cls));
+    }
+    EXPECT_TRUE(ranksArePermutation(s));
+}
+
+TEST(CacheSetSnapshot, LoadedSetsAgreeWithTheirRecords)
+{
+    const std::string good = saved(populatedSet());
+    std::size_t accepted = 0;
+    for (std::size_t bit = 0; bit < good.size() * 8; ++bit) {
+        SCOPED_TRACE(testing::Message() << "bit " << bit);
+        std::string img = good;
+        img[bit / 8] = static_cast<char>(img[bit / 8] ^ (1 << (bit % 8)));
+        CacheSet s(4);
+        SnapshotReader r(img);
+        try {
+            s.load(r);
+        } catch (const SnapshotError &) {
+            continue;
+        }
+        ++accepted;
+        expectSetAgreesWithItsWays(s);
+    }
+    // Tag, dirty, token, hits and most owner/class flips are legal.
+    EXPECT_GT(accepted, good.size() * 4);
 }
 
 } // namespace

@@ -72,18 +72,6 @@ class LegacyCacheSet
         return kNoWay;
     }
 
-    template <typename Pred>
-    int
-    find(Addr addr, Pred &&pred) const
-    {
-        for (std::uint32_t i = 0; i < ways_.size(); ++i) {
-            const BlockMeta &m = ways_[i];
-            if (m.valid && m.addr == addr && pred(m))
-                return static_cast<int>(i);
-        }
-        return kNoWay;
-    }
-
     int findAny(Addr addr) const { return find(addr, kMatchAny); }
 
     void touch(int w) { stamp_[static_cast<std::size_t>(w)] = ++hi_; }
@@ -236,10 +224,6 @@ expectEquivalent(const CacheSet &soa, const LegacyCacheSet &ref)
             const auto mask = static_cast<ClassMask>(m);
             EXPECT_EQ(soa.find(a, mask), ref.find(a, mask));
         }
-        auto pred = [](const BlockMeta &b) {
-            return b.cls == BlockClass::Replica || b.dirty;
-        };
-        EXPECT_EQ(soa.find(a, pred), ref.find(a, pred));
     }
     for (std::uint32_t w = 0; w < soa.numWays(); ++w) {
         const int wi = static_cast<int>(w);

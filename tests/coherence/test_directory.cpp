@@ -143,16 +143,6 @@ TEST_F(DirFixture, L2CopyBookkeeping)
     EXPECT_EQ(dir.find(kA)->ownerKind(), OwnerKind::Memory);
 }
 
-TEST_F(DirFixture, MoveL2KeepsOwner)
-{
-    dir.addL2(kA, 3, true);
-    dir.moveL2(kA, 3, 17);
-    const BlockInfo *e = dir.find(kA);
-    EXPECT_FALSE(e->hasL2Copy(3));
-    EXPECT_TRUE(e->hasL2Copy(17));
-    EXPECT_EQ(e->ownerIndex(), 17u);
-}
-
 TEST_F(DirFixture, TokenConservationAcrossStates)
 {
     // Memory-only: all tokens at memory.
@@ -573,13 +563,27 @@ TEST_P(DirectoryChurn, MatchesMapModel)
             }
             break;
         case 5:
+            // A migration as D-NUCA makes one: the copy leaves `from`
+            // (possibly through a zero-copy window) and lands at `b`,
+            // taking the owner token along if it held it.
             if (!r.l2.empty() && r.l2.count(b) == 0) {
                 const BankId from = pick(rng, r.l2);
-                dir.moveL2(a, from, b);
+                const bool token = r.ownerKind == OwnerKind::L2Bank &&
+                                   r.ownerIndex == from;
+                dir.removeL2(a, from);
                 r.l2.erase(from);
+                if (token) {
+                    r.ownerKind = OwnerKind::Memory;
+                    r.ownerIndex = 0;
+                }
+                if (offChip(r))
+                    queued.insert(a);
+                dir.addL2(a, b, token);
                 r.l2.insert(b);
-                if (r.ownerKind == OwnerKind::L2Bank && r.ownerIndex == from)
+                if (token) {
+                    r.ownerKind = OwnerKind::L2Bank;
                     r.ownerIndex = b;
+                }
                 high_bank |= b >= 64;
             }
             break;

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/snapshot.hpp"
 #include "fault/fault_plan.hpp"
@@ -55,8 +56,15 @@ runPhased(const std::string &arch, const std::string &workload,
     return p;
 }
 
-class CheckpointRoundTrip
-    : public ::testing::TestWithParam<const char *>
+/** Every arch model; sp-nuca-shadow and asr also carry policy state in
+ *  the checkpoint. */
+const std::vector<std::string> kAllArchs = {
+    "shared",         "private",  "sp-nuca",       "sp-nuca-static",
+    "sp-nuca-shadow", "esp-nuca", "esp-nuca-flat", "d-nuca",
+    "asr",            "cc-0",     "cc-30",         "cc-70",
+    "cc-100"};
+
+class CheckpointRoundTrip : public ::testing::TestWithParam<std::string>
 {
 };
 
@@ -79,9 +87,7 @@ TEST_P(CheckpointRoundTrip, RestoreMatchesColdByteForByte)
 }
 
 INSTANTIATE_TEST_SUITE_P(AllArchModels, CheckpointRoundTrip,
-                         ::testing::Values("shared", "private",
-                                           "sp-nuca", "esp-nuca",
-                                           "d-nuca"),
+                         ::testing::ValuesIn(kAllArchs),
                          [](const auto &info) {
                              std::string n = info.param;
                              for (char &c : n)

@@ -167,7 +167,6 @@ TEST(Ledger, PathNaming)
     EXPECT_EQ(ledgerPathFor("d", false, 4), "d/events-shard-4.jsonl");
 }
 
-#if ESPNUCA_OBS_ENABLED
 TEST(Ledger, WriterStampsIdentityAndSequence)
 {
     const std::string dir = tempDir();
@@ -239,7 +238,6 @@ TEST(Ledger, EmitWithoutOpenIsNoop)
     ledger.event("orphan"); // must not crash or write anywhere
     EXPECT_FALSE(ledger.isOpen());
 }
-#endif // ESPNUCA_OBS_ENABLED
 
 } // namespace
 } // namespace espnuca

@@ -15,8 +15,6 @@
 namespace espnuca {
 namespace {
 
-#if ESPNUCA_OBS_ENABLED
-
 /** Profiling is process-global state: restore it around every test. */
 class ProfilerTest : public ::testing::Test
 {
@@ -97,21 +95,6 @@ TEST_F(ProfilerTest, ResetZeroesAccumulators)
     obs::ProfRegistry::instance().reset();
     EXPECT_EQ(callsOf("test.reset"), 0u);
 }
-
-#else // !ESPNUCA_OBS_ENABLED
-
-TEST(Profiler, CompiledOutMacroIsANoop)
-{
-    EXPECT_FALSE(obs::profilingEnabled());
-    obs::setProfiling(true); // stub: stays off
-    EXPECT_FALSE(obs::profilingEnabled());
-    ESP_PROF_SCOPE("test.stub");
-    StatsRegistry reg;
-    obs::ProfRegistry::instance().collect(reg);
-    EXPECT_EQ(reg.counterValue("prof.test.stub.calls"), 0u);
-}
-
-#endif // ESPNUCA_OBS_ENABLED
 
 } // namespace
 } // namespace espnuca

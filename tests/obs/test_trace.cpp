@@ -19,12 +19,6 @@
 namespace espnuca {
 namespace {
 
-#if ESPNUCA_OBS_ENABLED
-#define OBS_REQUIRED() (void)0
-#else
-#define OBS_REQUIRED() GTEST_SKIP() << "observability compiled out"
-#endif
-
 TEST(Tracer, DisabledByDefaultRecordsNothing)
 {
     obs::Tracer t;
@@ -36,7 +30,6 @@ TEST(Tracer, DisabledByDefaultRecordsNothing)
 
 TEST(Tracer, FullModeRoundTripsRecords)
 {
-    OBS_REQUIRED();
     obs::Tracer t;
     t.enableFull();
     t.record(obs::TraceKind::TxIssue, 100, 7, 0xABCD40, 0, 3, 1);
@@ -63,7 +56,6 @@ TEST(Tracer, RecordIs32Bytes)
 
 TEST(Tracer, RingKeepsOnlyTheTailInOrder)
 {
-    OBS_REQUIRED();
     obs::Tracer t;
     t.enableRing(4);
     for (std::uint64_t i = 0; i < 10; ++i)
@@ -81,7 +73,6 @@ TEST(Tracer, RingKeepsOnlyTheTailInOrder)
 
 TEST(Tracer, CategoryMaskFiltersRecords)
 {
-    OBS_REQUIRED();
     obs::Tracer t;
     t.enableFull(obs::kCatTx);
     t.record(obs::TraceKind::TxIssue, 1, 1, 0, 0, 0, 0);    // tx: kept
@@ -110,7 +101,6 @@ TEST(Tracer, ParseTraceFilterWords)
 
 TEST(TraceExport, ChromeJsonHasSpansAndInstants)
 {
-    OBS_REQUIRED();
     obs::Tracer t;
     t.enableFull();
     t.record(obs::TraceKind::TxIssue, 100, 7, 0x40, 0, 2, 0);
@@ -146,7 +136,6 @@ TEST(TraceExport, EmptyCaptureIsStillValidJson)
 
 TEST(TraceSystem, TracedRunEmitsFullTransactionLifecycles)
 {
-    OBS_REQUIRED();
     SystemConfig cfg;
     const Workload wl = makeWorkload("apache", cfg, 3000, 5);
     System sys(cfg, "esp-nuca", wl, 5, 0.0);
@@ -186,7 +175,6 @@ TEST(TraceSystem, TracingDoesNotPerturbStatistics)
 
 TEST(TraceSystem, WatchdogStallShipsWithTraceTail)
 {
-    OBS_REQUIRED();
     // A dropped completion stalls the protocol; the WatchdogError dump
     // must carry the ring-buffer tail of recent trace records.
     SystemConfig cfg;

@@ -66,18 +66,6 @@ TEST(EventQueue, ZeroDelayRunsAtSameTime)
     EXPECT_EQ(when, 7u);
 }
 
-TEST(EventQueue, RunUntilStopsAtLimit)
-{
-    EventQueue eq;
-    int fired = 0;
-    eq.schedule(5, [&]() { ++fired; });
-    eq.schedule(10, [&]() { ++fired; });
-    eq.schedule(15, [&]() { ++fired; });
-    eq.runUntil(10);
-    EXPECT_EQ(fired, 2);
-    EXPECT_EQ(eq.pending(), 1u);
-}
-
 TEST(EventQueue, StepExecutesOne)
 {
     EventQueue eq;

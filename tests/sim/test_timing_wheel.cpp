@@ -5,8 +5,8 @@
  * holding std::function callbacks. Both queues replay identical
  * (delay, payload) streams — including delays beyond the near window,
  * zero delays, and events scheduled from inside callbacks — and must
- * produce identical (payload, fire-time) sequences. runUntil boundary
- * semantics are compared step for step as well.
+ * produce identical (payload, fire-time) sequences. Bounded drains up to
+ * a ladder of boundaries are compared step for step as well.
  */
 
 #include <gtest/gtest.h>
@@ -60,15 +60,6 @@ class ReferenceQueue
     {
         while (!empty())
             step();
-    }
-
-    void
-    runUntil(Cycle limit)
-    {
-        while (!empty() && nextEventTime() <= limit)
-            step();
-        if (now_ < limit && empty())
-            now_ = limit;
     }
 
   private:
@@ -169,9 +160,22 @@ TEST(TimingWheelDifferential, RandomStreamsMatchReferenceHeap)
 }
 
 /**
- * runUntil boundary semantics: events exactly at the limit run, later
- * ones stay queued, and an emptied queue parks the clock at the limit.
- * Both kernels are stepped through the same ladder of limits.
+ * Step every event due before `boundary`, the way System::drainObserved
+ * stops to run an observer: the first event at or after the boundary
+ * stays queued.
+ */
+template <typename Queue>
+void
+stepBefore(Queue &q, Cycle boundary)
+{
+    while (!q.empty() && q.nextEventTime() < boundary)
+        q.step();
+}
+
+/**
+ * Bounded drains: events before a boundary run, the ones at or after it
+ * stay queued, and the clock reads the last event run. Both kernels are
+ * stepped through the same ladder of boundaries.
  */
 TEST(TimingWheelDifferential, RunUntilBoundariesMatchReferenceHeap)
 {
@@ -191,29 +195,28 @@ TEST(TimingWheelDifferential, RunUntilBoundariesMatchReferenceHeap)
                             [&heap_log, i]() { heap_log.push_back(i); });
         }
 
-        // Ladder of limits, deliberately hitting exact event times
-        // (even indices) and in-between cycles.
+        // Ladder of boundaries, deliberately hitting exact event times
+        // (odd indices) and in-between cycles.
         std::vector<Cycle> limits = times;
         for (std::size_t i = 0; i < limits.size(); i += 2)
             limits[i] += 1;
         std::sort(limits.begin(), limits.end());
         for (Cycle limit : limits) {
-            wheel.runUntil(limit);
-            heap.runUntil(limit);
+            stepBefore(wheel, limit);
+            stepBefore(heap, limit);
             ASSERT_EQ(wheel.now(), heap.now()) << "seed " << seed;
             ASSERT_EQ(wheel.pending(), heap.pending()) << "seed " << seed;
             ASSERT_EQ(wheel_log, heap_log) << "seed " << seed;
+            if (!wheel.empty()) {
+                ASSERT_GE(wheel.nextEventTime(), limit) << "seed " << seed;
+                ASSERT_EQ(wheel.nextEventTime(), heap.nextEventTime())
+                    << "seed " << seed;
+            }
         }
         wheel.run();
         heap.run();
         EXPECT_EQ(wheel_log, heap_log);
         EXPECT_EQ(wheel.executed(), heap.executed());
-
-        // Drained queues park exactly at a beyond-the-end limit.
-        const Cycle far_limit = wheel.now() + 12345;
-        wheel.runUntil(far_limit);
-        heap.runUntil(far_limit);
-        EXPECT_EQ(wheel.now(), far_limit);
         EXPECT_EQ(wheel.now(), heap.now());
     }
 }

@@ -18,7 +18,8 @@
 #     shards + espnuca-merge (byte-compared against the unsharded
 #     document) with the sweep wall-clock recorded, and a cold-vs-warm
 #     espnuca-sim checkpoint pair measuring the warmup fast-forward
-#     speedup ("sweep" section; the warm restore must be >= 2x).
+#     speedup and the checkpoint file's size ("sweep" section; the warm
+#     restore must be >= 2x).
 #
 # Perf guard: if the previous BENCH_core.json exists, the new document
 # is diffed against it with `espnuca-report --check --threshold 15
@@ -31,13 +32,14 @@
 #     "fig07": { "wall_seconds", "jobs", "json_path" },
 #     "sweep": { "two_shard_fig07_wall_seconds",
 #                "warm_restore": { "cold_seconds", "warm_seconds",
-#                                  "speedup" } },
+#                                  "speedup", "ckpt_bytes" } },
 #     "loc": { "src_tools_lines" },
 #     "directory": { ... },
-#     "memory": { ... } }
+#     "memory": { ... },
+#     "checkpoint": { ... } }
 #
-# "loc" counts the .hpp/.cpp lines under src/ and tools/. "directory"
-# and "memory" are hand-recorded before/after peak-RSS measurements
+# "loc" counts the .hpp/.cpp lines under src/ and tools/. "directory",
+# "memory" and "checkpoint" are hand-recorded before/after measurements
 # (see DESIGN.md 5.15 and 5.10); the script carries them over from the
 # previous document unchanged.
 #
@@ -93,6 +95,7 @@ COLD_END=$(date +%s.%N)
 warm_sim > "$CKPT_DIR/warm.json"
 WARM_END=$(date +%s.%N)
 cmp "$CKPT_DIR/cold.json" "$CKPT_DIR/warm.json"
+CKPT_BYTES=$(cat "$CKPT_DIR"/*.ckpt | wc -c)
 
 LOC=$(find src tools \( -name '*.hpp' -o -name '*.cpp' \) -exec cat {} + |
       wc -l)
@@ -103,12 +106,12 @@ NEW_JSON=$(mktemp)
 python3 - "$E2E_JSON" "$NEW_JSON" "$FIG07_JSON" \
     "$FIG07_START" "$FIG07_END" "$FIG07_JOBS" \
     "$SWEEP_START" "$SWEEP_END" "$COLD_START" "$COLD_END" \
-    "$WARM_END" "$LOC" "$OUT" <<'PY'
+    "$WARM_END" "$CKPT_BYTES" "$LOC" "$OUT" <<'PY'
 import json, os, sys
 
 (e2e_path, out_path, fig07_path, t0, t1, fig07_jobs,
- sweep_t0, sweep_t1, cold_t0, cold_t1, warm_t1, loc,
- prev_path) = sys.argv[1:14]
+ sweep_t0, sweep_t1, cold_t0, cold_t1, warm_t1, ckpt_bytes, loc,
+ prev_path) = sys.argv[1:15]
 with open(e2e_path) as f:
     report = json.load(f)
 
@@ -131,6 +134,7 @@ report.update({
             "speedup": round((float(cold_t1) - float(cold_t0)) /
                              max(float(warm_t1) - float(cold_t1),
                                  1e-9), 2),
+            "ckpt_bytes": int(ckpt_bytes),
         },
     },
 })
@@ -139,7 +143,7 @@ report["loc"] = {"src_tools_lines": int(loc)}
 if os.path.exists(prev_path):
     with open(prev_path) as f:
         prev = json.load(f)
-    for key in ("directory", "memory"):
+    for key in ("directory", "memory", "checkpoint"):
         if key in prev:
             report[key] = prev[key]
 

@@ -76,11 +76,11 @@ if(NOT r EQUAL 0)
             "merged document differs from the unsupervised run")
 endif()
 
-# --- run ledger + live telemetry (observability build only) ----------
+# --- run ledger + live telemetry ------------------------------------
 # Random kills landed above; the ledger must still be complete: every
 # line CRC-valid (at most a torn tail per writer), and every
 # point-start resolved by a terminal event somewhere in the fleet.
-if(OBS AND PYTHON)
+if(PYTHON)
     file(GLOB shard_ledgers ${WORKDIR}/points/events-shard-*.jsonl)
     if(NOT EXISTS ${WORKDIR}/points/events-supervisor.jsonl)
         message(FATAL_ERROR "supervisor ledger missing")

@@ -336,11 +336,12 @@ cliConfig(const Options &o)
 std::uint64_t
 runHash(const Options &o, std::uint32_t r)
 {
+    const ExperimentConfig cfg = cliConfig(o);
     SnapshotWriter w;
     w.str(o.arch);
     w.str(o.workload);
-    w.u64(o.seed + r * 7919);
-    w.u64(experimentConfigDigest(cliConfig(o)));
+    w.u64(cfg.seedOf(r));
+    w.u64(experimentConfigDigest(cfg));
     // Finalized like pointHash(): raw FNV-1a parity is too structured
     // for `hash % N` shard assignment (see sweep.hpp).
     return splitmix64(fnv1a(w.bytes().data(), w.bytes().size()));
@@ -425,11 +426,9 @@ runOnce(const Options &o, std::uint64_t seed, const FaultPlan *plan,
 
 /**
  * One crash-isolated CLI run: retry with a fresh seed-derived stream up
- * to o.retries times, then surface the final failure as data. Attempt 0
- * uses the historical seed formula, so healthy runs are bit-identical
- * to earlier versions of the tool. A malformed replay trace is bad
- * input, not a failed run: its TraceFormatError propagates, and main
- * exits 2.
+ * to o.retries times (ExperimentConfig::seedOf), then surface the final
+ * failure as data. A malformed replay trace is bad input, not a failed
+ * run: its TraceFormatError propagates, and main exits 2.
  */
 RunOutcome
 attemptCli(const Options &o, std::uint32_t r, const FaultPlan *plan)
@@ -437,11 +436,9 @@ attemptCli(const Options &o, std::uint32_t r, const FaultPlan *plan)
     RunOutcome out;
     const bool traced = !o.traceOut.empty() && r == 0;
     const std::uint32_t tries = o.retries == 0 ? 1 : o.retries;
+    const ExperimentConfig cfg = cliConfig(o);
     for (std::uint32_t a = 0; a < tries; ++a) {
-        const std::uint64_t base = o.seed + r * 7919;
-        const std::uint64_t seed =
-            a == 0 ? base
-                   : splitmix64(base ^ (0x9E3779B97F4A7C15ULL * a));
+        const std::uint64_t seed = cfg.seedOf(r, a);
         try {
             out.result = runOnce(o, seed, plan, traced);
             return out;
@@ -479,6 +476,7 @@ main(int argc, char **argv)
     if (o.listPoints) {
         std::printf("%-16s %5s %4s %12s  %s\n", "hash", "shard", "run",
                     "seed", "config_digest");
+        const ExperimentConfig cfg = cliConfig(o);
         std::size_t mine = 0;
         for (std::uint32_t r = 0; r < o.runs; ++r) {
             const std::uint64_t h = runHash(o, r);
@@ -487,10 +485,8 @@ main(int argc, char **argv)
                 ++mine;
             std::printf("%s %5u %4u %12llu  %s\n",
                         digestHex(h).c_str(), owner, r,
-                        static_cast<unsigned long long>(o.seed +
-                                                        r * 7919),
-                        digestHex(experimentConfigDigest(cliConfig(o)))
-                            .c_str());
+                        static_cast<unsigned long long>(cfg.seedOf(r)),
+                        digestHex(experimentConfigDigest(cfg)).c_str());
         }
         std::printf("%u run(s)", o.runs);
         if (o.haveShard)

@@ -28,12 +28,9 @@ class Asr : public L2Org
 {
   public:
     explicit Asr(const SystemConfig &cfg, std::uint64_t seed = 1)
-        : L2Org(cfg), rng_(seed ^ 0xa5a5a5a5u),
-          perCore_(cfg.numCores)
+        : L2Org(cfg, BankSpec::shared(std::make_shared<FlatLru>())),
+          rng_(seed ^ 0xa5a5a5a5u), perCore_(cfg.numCores)
     {
-        auto policy = std::make_shared<FlatLru>();
-        initBanks([&policy](BankId) { return policy; },
-                  /*with_monitor=*/false);
     }
 
     std::string name() const override { return "asr"; }

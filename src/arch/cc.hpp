@@ -26,14 +26,11 @@ class CooperativeCaching : public L2Org
   public:
     CooperativeCaching(const SystemConfig &cfg, double coop_probability,
                        std::uint64_t seed = 1)
-        : L2Org(cfg), coopProb_(coop_probability),
-          rng_(seed ^ 0xcc00ccffu)
+        : L2Org(cfg, BankSpec::shared(std::make_shared<FlatLru>())),
+          coopProb_(coop_probability), rng_(seed ^ 0xcc00ccffu)
     {
         ESP_ASSERT(coop_probability >= 0.0 && coop_probability <= 1.0,
                    "cooperation probability out of range");
-        auto policy = std::make_shared<FlatLru>();
-        initBanks([&policy](BankId) { return policy; },
-                  /*with_monitor=*/false);
     }
 
     std::string

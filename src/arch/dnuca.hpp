@@ -30,11 +30,9 @@ namespace espnuca {
 class Dnuca : public L2Org
 {
   public:
-    explicit Dnuca(const SystemConfig &cfg) : L2Org(cfg)
+    explicit Dnuca(const SystemConfig &cfg)
+        : L2Org(cfg, BankSpec::shared(std::make_shared<FlatLru>()))
     {
-        auto policy = std::make_shared<FlatLru>();
-        initBanks([&policy](BankId) { return policy; },
-                  /*with_monitor=*/false);
     }
 
     std::string name() const override { return "d-nuca"; }

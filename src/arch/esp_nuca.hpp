@@ -38,14 +38,14 @@ class EspNuca : public SpNuca
   public:
     explicit EspNuca(const SystemConfig &cfg,
                      EspReplacement repl = EspReplacement::ProtectedLru)
-        : SpNuca(cfg, SpPartition::FlatLru), repl_(repl)
+        : SpNuca(cfg, SpPartition::FlatLru,
+                 // The flat variant keeps SP-NUCA's FlatLru banks.
+                 repl == EspReplacement::ProtectedLru
+                     ? BankSpec::shared(std::make_shared<ProtectedLru>(),
+                                        /*with_monitor=*/true)
+                     : BankSpec::shared(std::make_shared<FlatLru>())),
+          repl_(repl)
     {
-        if (repl == EspReplacement::ProtectedLru) {
-            auto policy = std::make_shared<ProtectedLru>();
-            initBanks([&policy](BankId) { return policy; },
-                      /*with_monitor=*/true);
-        }
-        // Flat variant keeps the SP-NUCA FlatLru banks (no monitor).
     }
 
     std::string

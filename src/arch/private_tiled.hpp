@@ -21,11 +21,9 @@ namespace espnuca {
 class PrivateTiled : public L2Org
 {
   public:
-    explicit PrivateTiled(const SystemConfig &cfg) : L2Org(cfg)
+    explicit PrivateTiled(const SystemConfig &cfg)
+        : L2Org(cfg, BankSpec::shared(std::make_shared<FlatLru>()))
     {
-        auto policy = std::make_shared<FlatLru>();
-        initBanks([&policy](BankId) { return policy; },
-                  /*with_monitor=*/false);
     }
 
     std::string name() const override { return "private"; }

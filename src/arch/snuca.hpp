@@ -20,11 +20,9 @@ namespace espnuca {
 class Snuca : public L2Org
 {
   public:
-    explicit Snuca(const SystemConfig &cfg) : L2Org(cfg)
+    explicit Snuca(const SystemConfig &cfg)
+        : L2Org(cfg, BankSpec::shared(std::make_shared<FlatLru>()))
     {
-        auto policy = std::make_shared<FlatLru>();
-        initBanks([&policy](BankId) { return policy; },
-                  /*with_monitor=*/false);
     }
 
     std::string name() const override { return "shared"; }

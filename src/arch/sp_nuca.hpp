@@ -37,9 +37,8 @@ class SpNuca : public L2Org
   public:
     explicit SpNuca(const SystemConfig &cfg,
                     SpPartition partition = SpPartition::FlatLru)
-        : L2Org(cfg), partition_(partition)
+        : SpNuca(cfg, partition, partitionBanks(cfg, partition))
     {
-        makeBanks(/*with_monitor=*/false);
     }
 
     std::string
@@ -150,6 +149,13 @@ class SpNuca : public L2Org
     }
 
   protected:
+    /** For subclasses that build their banks their own way (ESP-NUCA). */
+    SpNuca(const SystemConfig &cfg, SpPartition partition,
+           const BankSpec &banks)
+        : L2Org(cfg, banks), partition_(partition)
+    {
+    }
+
     /** Tag-match class filter for the requester's own partition. */
     virtual ClassMask localMatch() const { return kMatchPrivate; }
 
@@ -179,33 +185,24 @@ class SpNuca : public L2Org
         (void)t;
     }
 
-    /** Build the banks for the selected partition flavor. */
-    void
-    makeBanks(bool with_monitor)
+    /** The banks of the selected partition flavor (no monitors). */
+    static BankSpec
+    partitionBanks(const SystemConfig &cfg, SpPartition partition)
     {
-        switch (partition_) {
-          case SpPartition::FlatLru: {
-            auto policy = std::make_shared<FlatLru>();
-            initBanks([&policy](BankId) { return policy; }, with_monitor);
-            break;
-          }
-          case SpPartition::Static: {
-            auto policy = std::make_shared<StaticPartitionLru>(
-                cfg_.l2Ways * 3 / 4, cfg_.l2Ways);
-            initBanks([&policy](BankId) { return policy; }, with_monitor);
-            break;
-          }
-          case SpPartition::ShadowTags: {
+        switch (partition) {
+          case SpPartition::Static:
+            return BankSpec::shared(std::make_shared<StaticPartitionLru>(
+                cfg.l2Ways * 3 / 4, cfg.l2Ways));
+          case SpPartition::ShadowTags:
             // Stateful: one instance per bank.
-            initBanks(
-                [this](BankId) {
-                    return std::make_shared<ShadowTagPolicy>(
-                        cfg_.l2SetsPerBank(), cfg_.l2Ways);
-                },
-                with_monitor);
+            return {[sets = cfg.l2SetsPerBank(), ways = cfg.l2Ways](BankId) {
+                        return std::make_shared<ShadowTagPolicy>(sets, ways);
+                    },
+                    /*withMonitor=*/false};
+          case SpPartition::FlatLru:
             break;
-          }
         }
+        return BankSpec::shared(std::make_shared<FlatLru>());
     }
 
     /** Figure 2b step 2: shared home bank, memory in parallel. */

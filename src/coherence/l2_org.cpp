@@ -9,6 +9,15 @@
 
 namespace espnuca {
 
+L2Org::L2Org(const SystemConfig &cfg, const BankSpec &banks)
+    : cfg_(cfg), map_(cfg)
+{
+    banks_.reserve(cfg_.l2Banks);
+    for (BankId b = 0; b < cfg_.l2Banks; ++b)
+        banks_.push_back(std::make_unique<CacheBank>(
+            cfg_, b, banks.policy(b), banks.withMonitor));
+}
+
 std::uint32_t
 L2Org::invalidateAllL2Copies(Addr a)
 {

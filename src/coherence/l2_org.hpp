@@ -11,6 +11,7 @@
 #ifndef ESPNUCA_COHERENCE_L2_ORG_HPP_
 #define ESPNUCA_COHERENCE_L2_ORG_HPP_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,11 +25,33 @@
 
 namespace espnuca {
 
+/**
+ * How an organization's banks are built: the replacement policy each
+ * bank gets and whether every bank carries an ESP-NUCA hit-rate monitor.
+ */
+struct BankSpec
+{
+    std::function<std::shared_ptr<ReplacementPolicy>(BankId)> policy;
+    bool withMonitor = false;
+
+    /** Every bank shares the one (stateless) policy instance `p`. */
+    static BankSpec
+    shared(std::shared_ptr<ReplacementPolicy> p, bool with_monitor = false)
+    {
+        return {[p = std::move(p)](BankId) { return p; }, with_monitor};
+    }
+};
+
 /** Interface every studied cache architecture implements. */
 class L2Org
 {
   public:
-    explicit L2Org(const SystemConfig &cfg) : cfg_(cfg), map_(cfg) {}
+    /**
+     * Build the cfg.l2Banks banks as `banks` says. This is the only
+     * place banks are created, so each organization builds them once;
+     * subclasses pass their spec up the constructor chain.
+     */
+    L2Org(const SystemConfig &cfg, const BankSpec &banks);
     virtual ~L2Org() = default;
 
     L2Org(const L2Org &) = delete;
@@ -81,7 +104,7 @@ class L2Org
         (void)t;
     }
 
-    /** Number of banks (always cfg.l2Banks once initBanks ran). */
+    /** Number of banks (always cfg.l2Banks). */
     std::uint32_t numBanks() const
     {
         return static_cast<std::uint32_t>(banks_.size());
@@ -199,19 +222,6 @@ class L2Org
   protected:
     Protocol &proto() { return *proto_; }
     const Protocol &proto() const { return *proto_; }
-
-    /** Create the banks, one policy instance per bank when stateful. */
-    template <typename MakePolicy>
-    void
-    initBanks(MakePolicy make, bool with_monitor)
-    {
-        banks_.clear();
-        banks_.reserve(cfg_.l2Banks);
-        for (BankId b = 0; b < cfg_.l2Banks; ++b) {
-            banks_.push_back(std::make_unique<CacheBank>(
-                cfg_, b, make(b), with_monitor));
-        }
-    }
 
     /**
      * Insert `blk` into (bank, set) keeping the directory consistent for

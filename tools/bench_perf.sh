@@ -8,8 +8,8 @@
 # Runs:
 #   - tools/perf_e2e.py: three perfbench runs (10 s, --trace 0, seeds
 #     1-3) per benchmark workload (apache-esp, mcf4-esp, CG-shared); the
-#     median refs_per_s lands in the "e2e" section, and a run that
-#     reports failed > 0 stops the script,
+#     median refs_per_s and setup_s land in the "e2e" section, and a run
+#     that reports failed > 0 stops the script,
 #   - bench/fig07_onchip_offchip --json results/fig07_onchip_offchip.json
 #     (Release) as the figure-bench smoke, its wall time recorded with
 #     the worker count it ran on (ESPNUCA_JOBS, default 1) so the
@@ -23,12 +23,14 @@
 #
 # Perf guard: if the previous BENCH_core.json exists, the new document
 # is diffed against it with `espnuca-report --check --threshold 15
-# --only e2e` and the script fails when a workload's refs_per_s drops
-# beyond the threshold. Export ESPNUCA_SKIP_PERF_GUARD=1 to accept an
+# --only e2e.<W>.refs_per_s` for each workload W, and the script fails
+# when a workload's refs_per_s drops beyond the threshold. setup_s is
+# recorded but not guarded: a sub-millisecond timing spreads wider than
+# the threshold. Export ESPNUCA_SKIP_PERF_GUARD=1 to accept an
 # intentional regression.
 #
 # Output schema (BENCH_core.json):
-#   { "e2e": { "<workload>": { "refs_per_s" } },
+#   { "e2e": { "<workload>": { "refs_per_s", "setup_s" } },
 #     "fig07": { "wall_seconds", "jobs", "json_path" },
 #     "sweep": { "two_shard_fig07_wall_seconds",
 #                "warm_restore": { "cold_seconds", "warm_seconds",
@@ -36,12 +38,13 @@
 #     "loc": { "src_tools_lines" },
 #     "directory": { ... },
 #     "memory": { ... },
-#     "checkpoint": { ... } }
+#     "checkpoint": { ... },
+#     "setup": { ... } }
 #
 # "loc" counts the .hpp/.cpp lines under src/ and tools/. "directory",
-# "memory" and "checkpoint" are hand-recorded before/after measurements
-# (see DESIGN.md 5.15 and 5.10); the script carries them over from the
-# previous document unchanged.
+# "memory", "checkpoint" and "setup" are hand-recorded before/after
+# measurements (see DESIGN.md 5.15, 5.10 and 5.3); the script carries
+# them over from the previous document unchanged.
 #
 # Environment: ESPNUCA_OPS / ESPNUCA_RUNS / ESPNUCA_JOBS thread through
 # to fig07 as in every figure bench; ESPNUCA_JOBS defaults to 1 here.
@@ -50,14 +53,15 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 OUT="${1:-BENCH_core.json}"
 FIG07_JOBS="${ESPNUCA_JOBS:-1}"
+WORKLOADS=(apache-esp mcf4-esp CG-shared)
 
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
-cmake --build build-release -j --target fig07_onchip_offchip \
+cmake --build build-release -j "$(nproc)" --target fig07_onchip_offchip \
     espnuca-sim espnuca-merge espnuca-report > /dev/null
 
-echo "== bench_perf: perfbench refs_per_s (median of 3 x 10 s per workload) =="
+echo "== bench_perf: perfbench refs_per_s, setup_s (median of 3 x 10 s per workload) =="
 E2E_JSON=$(mktemp)
-python3 tools/perf_e2e.py apache-esp mcf4-esp CG-shared > "$E2E_JSON"
+python3 tools/perf_e2e.py "${WORKLOADS[@]}" > "$E2E_JSON"
 
 echo "== bench_perf: fig07_onchip_offchip --json =="
 mkdir -p results
@@ -143,7 +147,7 @@ report["loc"] = {"src_tools_lines": int(loc)}
 if os.path.exists(prev_path):
     with open(prev_path) as f:
         prev = json.load(f)
-    for key in ("directory", "memory", "checkpoint"):
+    for key in ("directory", "memory", "checkpoint", "setup"):
         if key in prev:
             report[key] = prev[key]
 
@@ -160,22 +164,26 @@ PY
 
 # Regression guard: diff against the committed baseline with
 # espnuca-report (missing metrics count as regressions too), scoped to
-# perfbench's end-to-end throughput. ESPNUCA_SKIP_PERF_GUARD=1 accepts
-# an intentional regression (exit 1) but no other failure; first runs
-# have no baseline to guard against.
+# each workload's end-to-end throughput as in CI's bench-smoke.
+# ESPNUCA_SKIP_PERF_GUARD=1 accepts an intentional regression (exit 1)
+# but no other failure; first runs have no baseline to guard against.
 if [ -f "$OUT" ]; then
-    rc=0
-    ./build-release/tools/espnuca-report \
-        --baseline "$OUT" --new "$NEW_JSON" \
-        --check --threshold 15 --only e2e || rc=$?
-    if [ "$rc" -eq 1 ] && [ "${ESPNUCA_SKIP_PERF_GUARD:-}" = "1" ]; then
-        echo "perf guard: regression accepted (ESPNUCA_SKIP_PERF_GUARD=1)"
-    elif [ "$rc" -ne 0 ]; then
-        echo "perf guard: refs_per_s check failed (exit $rc) vs $OUT" \
-            "(set ESPNUCA_SKIP_PERF_GUARD=1 to accept a regression)" >&2
-        rm -f "$NEW_JSON" "$E2E_JSON"
-        exit 1
-    fi
+    for w in "${WORKLOADS[@]}"; do
+        rc=0
+        ./build-release/tools/espnuca-report \
+            --baseline "$OUT" --new "$NEW_JSON" \
+            --check --threshold 15 --only "e2e.$w.refs_per_s" || rc=$?
+        if [ "$rc" -eq 1 ] && [ "${ESPNUCA_SKIP_PERF_GUARD:-}" = "1" ]; then
+            echo "perf guard: $w regression accepted" \
+                "(ESPNUCA_SKIP_PERF_GUARD=1)"
+        elif [ "$rc" -ne 0 ]; then
+            echo "perf guard: $w refs_per_s check failed (exit $rc) vs" \
+                "$OUT (set ESPNUCA_SKIP_PERF_GUARD=1 to accept a" \
+                "regression)" >&2
+            rm -f "$NEW_JSON" "$E2E_JSON"
+            exit 1
+        fi
+    done
 fi
 mv "$NEW_JSON" "$OUT"
 

@@ -3,9 +3,10 @@
  * On-line first-class hit-rate estimation and nmax control (paper 3.3).
  *
  * Per bank: three shift-based EMAs (HRC for sampled conventional sets,
- * HRR for reference sets, HRE for explorer sets) and the bank-wide
- * helping-block limit nmax. Every `period` monitored references the
- * controller applies the paper's update rule:
+ * HRR for reference sets, HRE for explorer sets), each updated on every
+ * reference to one of its sets, and the bank-wide helping-block limit
+ * nmax. Every `period` monitored references the controller applies the
+ * paper's update rule:
  *
  *   nmax -= 1  if HRR - (HRR >> d) >= HRC   (helping blocks hurt)
  *   nmax += 1  if HRR - (HRR >> d) <  HRE   (room for one more)
@@ -18,11 +19,13 @@
 #define ESPNUCA_CACHE_HIT_RATE_MONITOR_HPP_
 
 #include <cstdint>
+#include <initializer_list>
 #include <vector>
 
 #include "cache/replacement.hpp"
 #include "common/config.hpp"
 #include "common/log.hpp"
+#include "common/snapshot.hpp"
 #include "obs/profiler.hpp"
 #include "stats/ema.hpp"
 
@@ -45,7 +48,6 @@ class HitRateMonitor
           hrE_(cfg.emaBits, cfg.emaShift),
           dShift_(cfg.degradationShift),
           period_(cfg.monitorPeriod),
-          batch_(cfg.emaBatch),
           maxNmax_(ways >= 2 ? ways - 2 : 0),
           nmax_(initial_nmax <= maxNmax_ ? initial_nmax : maxNmax_),
           categories_(num_sets, SetCategory::Conventional)
@@ -87,29 +89,18 @@ class HitRateMonitor
         if (cat == SetCategory::Conventional)
             return; // unsampled sets do not advance the controller
         ESP_PROF_SCOPE("bank.ema");
-        BatchedShiftEma *ema = cat == SetCategory::SampledConventional
-                                   ? &hrC_
-                                   : cat == SetCategory::Reference ? &hrR_
-                                                                   : &hrE_;
-        ema->record(first_class_hit);
-        if (!batch_)
-            ema->flush(); // compatibility mode: per-access updates
+        ShiftEma &ema = cat == SetCategory::SampledConventional
+                            ? hrC_
+                            : cat == SetCategory::Reference ? hrR_ : hrE_;
+        ema.record(first_class_hit);
         if (++references_ >= period_) {
             references_ = 0;
-            // The buffered samples are replayed in arrival order before
-            // the controller reads the estimates, so the register values
-            // it sees are bit-identical to per-access updating.
-            hrC_.flush();
-            hrR_.flush();
-            hrE_.flush();
             updateNmax();
         }
     }
 
     /** Estimated hit rates (diagnostics, sensitivity benches, epoch
-     *  telemetry). Reads apply the buffered samples to a copy, so
-     *  mid-period values match the per-access-update mode exactly and
-     *  a read changes no state. */
+     *  telemetry). */
     std::uint32_t emaConventional() const { return hrC_.raw(); }
     std::uint32_t emaReference() const { return hrR_.raw(); }
     std::uint32_t emaExplorer() const { return hrE_.raw(); }
@@ -122,41 +113,40 @@ class HitRateMonitor
 
     /**
      * Serialize controller state. categories_ is NOT serialized: it is
-     * assigned deterministically from the config at construction. The
-     * EMAs are saved with their un-flushed sample buffers so the
-     * restored flush order is bit-identical to the uninterrupted run.
+     * assigned deterministically from the config at construction.
      */
     void
     save(SnapshotWriter &w) const
     {
-        auto ema = [&](const BatchedShiftEma &e) {
-            w.u32(e.rawNoFlush());
-            w.u64(e.pendingBits());
-            w.u32(e.pending());
-        };
-        ema(hrC_);
-        ema(hrR_);
-        ema(hrE_);
+        w.u32(hrC_.raw());
+        w.u32(hrR_.raw());
+        w.u32(hrE_.raw());
         w.u32(nmax_);
         w.u32(references_);
         w.u64(increments_);
         w.u64(decrements_);
     }
 
+    /** Restore controller state. Throws SnapshotError on a record no
+     *  run can produce: an EMA register above 2^b, an nmax above the
+     *  bank's ways − 2, or a reference count not below the period. */
     void
     load(SnapshotReader &r)
     {
-        auto ema = [&](BatchedShiftEma &e) {
+        for (ShiftEma *e : {&hrC_, &hrR_, &hrE_}) {
             const std::uint32_t raw = r.u32();
-            const std::uint64_t bits = r.u64();
-            const std::uint32_t pending = r.u32();
-            e.restore(raw, bits, pending);
-        };
-        ema(hrC_);
-        ema(hrR_);
-        ema(hrE_);
-        nmax_ = r.u32();
-        references_ = r.u32();
+            if (raw > (std::uint32_t{1} << e->bits()))
+                throw SnapshotError("monitor EMA register above 2^b");
+            e->reset(raw);
+        }
+        const std::uint32_t nmax = r.u32();
+        if (nmax > maxNmax_)
+            throw SnapshotError("monitor nmax above ways - 2");
+        const std::uint32_t references = r.u32();
+        if (references >= period_)
+            throw SnapshotError("monitor reference count not below period");
+        nmax_ = nmax;
+        references_ = references;
         increments_ = r.u64();
         decrements_ = r.u64();
     }
@@ -206,12 +196,11 @@ class HitRateMonitor
         place(SetCategory::Explorer, cfg.explorerSamples);
     }
 
-    BatchedShiftEma hrC_;
-    BatchedShiftEma hrR_;
-    BatchedShiftEma hrE_;
+    ShiftEma hrC_;
+    ShiftEma hrR_;
+    ShiftEma hrE_;
     std::uint32_t dShift_;
     std::uint32_t period_;
-    bool batch_;
     std::uint32_t maxNmax_;
     std::uint32_t nmax_;
     std::uint32_t references_ = 0;

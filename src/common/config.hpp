@@ -103,15 +103,6 @@ struct SystemConfig
     std::uint32_t referenceSamples = 1;    //!< reference sets per bank
     std::uint32_t explorerSamples = 1;     //!< explorer sets per bank
     std::uint32_t monitorPeriod = 64;   //!< set references between updates
-    /**
-     * Buffer monitored hit/miss samples per EMA and replay them in order
-     * at the controller period boundary instead of updating the shift
-     * registers per access. Observationally bit-identical (the EMAs are
-     * only read at period boundaries and flushed before every external
-     * read); `false` restores the per-access updates as the
-     * compatibility/equivalence-testing mode.
-     */
-    bool emaBatch = true;
 
     // -- Derived geometry ---------------------------------------------
     std::uint32_t blockOffsetBits() const { return exactLog2(blockBytes); }

@@ -89,7 +89,9 @@ inline constexpr std::uint32_t kSnapshotMagic = 0x4E505345; // "ESPN"
 // v7: a cache set is stored in its in-memory layout: u32 way count and
 //     disabled mask, then per way the tag, the u8 recency rank and the
 //     5-byte cold record (no masks, stamps or repeated addr/valid).
-inline constexpr std::uint32_t kSnapshotVersion = 7;
+// v8: the nmax monitor stores one u32 register per EMA (the EMAs update
+//     per access; no pending-sample bits or count).
+inline constexpr std::uint32_t kSnapshotVersion = 8;
 
 /** Identity a snapshot is bound to; all fields must match on restore. */
 struct SnapshotIdentity

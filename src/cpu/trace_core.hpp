@@ -119,9 +119,6 @@ class TraceCore
                static_cast<double>(finishCycle_ - measCycle_);
     }
 
-    /** Completion callback for everyone waiting on this core. */
-    void onFinish(std::function<void()> fn) { onFinish_ = std::move(fn); }
-
     /** The trace source driving this core (snapshot extraction). */
     TraceSource &source() { return *src_; }
     const TraceSource &source() const { return *src_; }
@@ -251,8 +248,6 @@ class TraceCore
         const std::uint64_t end_slot =
             std::max(slot_, lastCompletionSlot_);
         finishCycle_ = (end_slot + cfg_.issueWidth - 1) / cfg_.issueWidth;
-        if (onFinish_)
-            onFinish_();
     }
 
     SystemConfig cfg_;
@@ -280,7 +275,6 @@ class TraceCore
     bool finished_ = false;
     bool inRun_ = false;
     Cycle finishCycle_ = 0;
-    std::function<void()> onFinish_;
 };
 
 } // namespace espnuca

@@ -688,7 +688,9 @@ systemConfigDigest(const SystemConfig &cfg)
     w.u32(cfg.referenceSamples);
     w.u32(cfg.explorerSamples);
     w.u32(cfg.monitorPeriod);
-    w.b(cfg.emaBatch);
+    // Byte of the retired EMA-batching switch (always on): kept so every
+    // paper-config digest keeps its historical value.
+    w.b(true);
     // Layout knobs joined the config after the digest format froze:
     // they are appended only when non-default, so every paper-config
     // digest (sweep point hashes, snapshot identities, provenance

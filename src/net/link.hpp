@@ -95,23 +95,6 @@ class Link
         return t + latency + (eff - 1);
     }
 
-    /** First cycle a new message arriving "now" could start (tests). */
-    Cycle
-    earliestStart(Cycle arrival, std::uint32_t flits) const
-    {
-        Cycle t = arrival;
-        std::uint32_t eff = flits * factorAt(t);
-        for (const Busy &b : busy_) {
-            if (t + eff <= b.start)
-                break;
-            if (b.end > t) {
-                t = b.end;
-                eff = flits * factorAt(t);
-            }
-        }
-        return t;
-    }
-
     // -- Fault model ---------------------------------------------------
 
     /**

@@ -57,11 +57,8 @@ class ShiftEma
                static_cast<double>(std::uint32_t{1} << bBits_);
     }
 
-    /** Reset the estimate (e.g., at a phase boundary). */
+    /** Set the register to `v` (a phase boundary, a snapshot restore). */
     void reset(std::uint32_t v = 0) { value_ = v; }
-
-    /** Overwrite the register exactly (snapshot restore). */
-    void setRaw(std::uint32_t v) { value_ = v; }
 
     /** Fixed-point width b. */
     unsigned bits() const { return bBits_; }
@@ -73,81 +70,6 @@ class ShiftEma
     unsigned bBits_;
     unsigned aShift_;
     std::uint32_t value_;
-};
-
-/**
- * A ShiftEma fed through a 64-sample bit buffer. record() is a shift and
- * an or; the underlying EMA only advances when flush() replays the
- * buffered samples in arrival order. Because replay preserves order, the
- * post-flush register value is bit-identical to per-access updates — the
- * only observable difference is *when* the work happens. raw() replays
- * the buffer on a copy, so a reader sees the current value without
- * changing the state a snapshot saves.
- */
-class BatchedShiftEma
-{
-  public:
-    BatchedShiftEma(unsigned b, unsigned a) : ema_(b, a) {}
-
-    /** Buffer one binary sample; spills to the EMA when the buffer fills. */
-    void
-    record(bool hit)
-    {
-        bits_ |= static_cast<std::uint64_t>(hit) << pending_;
-        if (++pending_ == 64)
-            flush();
-    }
-
-    /** Replay every buffered sample into the EMA (oldest first). */
-    void
-    flush()
-    {
-        for (std::uint32_t i = 0; i < pending_; ++i)
-            ema_.record((bits_ >> i) & 1u);
-        bits_ = 0;
-        pending_ = 0;
-    }
-
-    /** Raw fixed-point estimate, as flush() would leave it. */
-    std::uint32_t
-    raw() const
-    {
-        ShiftEma e = ema_;
-        for (std::uint32_t i = 0; i < pending_; ++i)
-            e.record((bits_ >> i) & 1u);
-        return e.raw();
-    }
-
-    /** Samples buffered but not yet applied (testing aid). */
-    std::uint32_t pending() const { return pending_; }
-
-    // -- Snapshot/restore: expose the exact register + buffer so a
-    //    restored run flushes identically to the uninterrupted one.
-    std::uint32_t rawNoFlush() const { return ema_.raw(); }
-    std::uint64_t pendingBits() const { return bits_; }
-
-    void
-    restore(std::uint32_t raw_value, std::uint64_t bits,
-            std::uint32_t pending)
-    {
-        ema_.setRaw(raw_value);
-        bits_ = bits;
-        pending_ = pending;
-    }
-
-    /** Reset estimate and buffer. */
-    void
-    reset(std::uint32_t v = 0)
-    {
-        ema_.reset(v);
-        bits_ = 0;
-        pending_ = 0;
-    }
-
-  private:
-    ShiftEma ema_;
-    std::uint64_t bits_ = 0;    //!< sample i lives in bit i
-    std::uint32_t pending_ = 0; //!< buffered, un-applied samples
 };
 
 } // namespace espnuca

@@ -11,11 +11,6 @@
  * must agree after every operation, across randomized
  * access/evict/reclassify sequences that include fault-disabled way
  * plans (the acceptance dead-way plan `ways=*:0x3` among them).
- *
- * The second half proves the batched-EMA machinery bit-identical: a
- * BatchedShiftEma must track a plain ShiftEma sample for sample, and a
- * HitRateMonitor with cfg.emaBatch on must produce the exact nmax
- * trajectory of the per-access compatibility mode.
  */
 
 #include <gtest/gtest.h>
@@ -26,9 +21,6 @@
 #include <vector>
 
 #include "cache/cache_set.hpp"
-#include "cache/hit_rate_monitor.hpp"
-#include "common/config.hpp"
-#include "stats/ema.hpp"
 
 namespace espnuca {
 namespace {
@@ -418,84 +410,6 @@ TEST(CacheSetLayout, VictimMemoSurvivesTargetedEdits)
     s.assign(0, m); // keeps way 0's old stamp: Replica memos must drop
     r.assign(0, m);
     expectEquivalent(s, r);
-}
-
-// -- Batched EMA bit-identity ------------------------------------------
-
-TEST(BatchedEmaEquivalence, TracksDirectEmaAtEveryFlushPoint)
-{
-    std::mt19937 rng(11);
-    ShiftEma direct(8, 1);
-    BatchedShiftEma batched(8, 1);
-    for (int n = 0; n < 5000; ++n) {
-        const bool hit = (rng() % 3) != 0;
-        direct.record(hit);
-        batched.record(hit);
-        // raw() applies the buffer to a copy: the value must match
-        // per-access updating no matter where in the 64-sample buffer
-        // we read, and the read must leave the buffer as it was.
-        if (rng() % 7 == 0) {
-            const std::uint32_t pending = batched.pending();
-            ASSERT_EQ(batched.raw(), direct.raw()) << "sample " << n;
-            ASSERT_EQ(batched.pending(), pending) << "sample " << n;
-        }
-    }
-    batched.flush();
-    EXPECT_EQ(batched.raw(), direct.raw());
-    EXPECT_EQ(batched.pending(), 0u);
-}
-
-TEST(BatchedEmaEquivalence, AutoFlushesAtBufferCapacity)
-{
-    ShiftEma direct(8, 2);
-    BatchedShiftEma batched(8, 2);
-    for (int n = 0; n < 64; ++n) {
-        direct.record(n % 2 == 0);
-        batched.record(n % 2 == 0);
-    }
-    // 64th record spilled the buffer without an external flush.
-    EXPECT_EQ(batched.pending(), 0u);
-    EXPECT_EQ(batched.raw(), direct.raw());
-}
-
-TEST(BatchedEmaEquivalence, MonitorNmaxTrajectoryMatchesPerAccessMode)
-{
-    SystemConfig batched_cfg;
-    SystemConfig compat_cfg;
-    batched_cfg.emaBatch = true;
-    compat_cfg.emaBatch = false;
-    constexpr std::uint32_t kSets = 64;
-    constexpr std::uint32_t kWays = 16;
-    HitRateMonitor batched(batched_cfg, kSets, kWays);
-    HitRateMonitor compat(compat_cfg, kSets, kWays);
-    std::mt19937 rng(23);
-    for (int n = 0; n < 20000; ++n) {
-        const std::uint32_t set = rng() % kSets;
-        // Bias hit rates by category so nmax actually moves.
-        bool hit = false;
-        switch (batched.category(set)) {
-          case SetCategory::Reference:
-            hit = rng() % 4 != 0;
-            break;
-          case SetCategory::Explorer:
-            hit = rng() % 2 != 0;
-            break;
-          default:
-            hit = rng() % 3 != 0;
-            break;
-        }
-        batched.record(set, hit);
-        compat.record(set, hit);
-        ASSERT_EQ(batched.nmax(), compat.nmax()) << "reference " << n;
-        if (n % 257 == 0) {
-            // Mid-period reads flush the buffers: still identical.
-            ASSERT_EQ(batched.emaConventional(), compat.emaConventional());
-            ASSERT_EQ(batched.emaReference(), compat.emaReference());
-            ASSERT_EQ(batched.emaExplorer(), compat.emaExplorer());
-        }
-    }
-    EXPECT_EQ(batched.increments(), compat.increments());
-    EXPECT_EQ(batched.decrements(), compat.decrements());
 }
 
 } // namespace

@@ -1,10 +1,13 @@
 /**
  * @file
  * The ESP-NUCA nmax controller (paper 3.3): set-category assignment,
- * EMA bookkeeping and the equation-(3) update rule.
+ * EMA bookkeeping, the equation-(3) update rule and the snapshot record.
  */
 
 #include <gtest/gtest.h>
+
+#include <random>
+#include <string>
 
 #include "cache/hit_rate_monitor.hpp"
 
@@ -190,6 +193,144 @@ TEST(HitRateMonitor, PhaseChangeAdapts)
         m.record(s.explorer[0], false);
     }
     EXPECT_LT(m.nmax(), grown);
+}
+
+// -- The snapshot record ------------------------------------------------
+
+/** Byte offsets into HitRateMonitor::save()'s record (snapshot v8): one
+ *  u32 register per EMA (HRC, HRR, HRE), nmax, the reference count in
+ *  the current period, then the u64 increment and decrement counts. */
+constexpr std::size_t kEmaAt[3] = {0, 4, 8};
+constexpr std::size_t kNmaxAt = 12;
+constexpr std::size_t kReferencesAt = 16;
+constexpr std::size_t kRecordBytes = 20 + 8 + 8;
+
+std::string
+saved(const HitRateMonitor &m)
+{
+    SnapshotWriter w;
+    m.save(w);
+    return w.bytes();
+}
+
+std::uint32_t
+getU32(const std::string &bytes, std::size_t at)
+{
+    std::uint32_t v = 0;
+    for (std::size_t i = 4; i-- > 0;)
+        v = (v << 8) | static_cast<std::uint8_t>(bytes[at + i]);
+    return v;
+}
+
+/** Overwrite the little-endian u32 at `at`. */
+std::string
+withU32(std::string bytes, std::size_t at, std::uint32_t v)
+{
+    for (std::size_t i = 0; i < 4; ++i)
+        bytes[at + i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
+    return bytes;
+}
+
+/** Drive a monitor through `n` references to its sampled sets. */
+void
+drive(HitRateMonitor &m, const Samples &s, std::mt19937 &rng, int n)
+{
+    for (int i = 0; i < n; ++i) {
+        switch (rng() % 3) {
+          case 0:
+            m.record(s.reference[0], rng() % 4 != 0);
+            break;
+          case 1:
+            m.record(s.explorer[0], rng() % 2 != 0);
+            break;
+          default:
+            m.record(s.conventional[i % 2], rng() % 3 != 0);
+            break;
+        }
+    }
+}
+
+/** Load a record into a fresh 256-set, 16-way monitor. */
+void
+load(const SystemConfig &cfg, const std::string &bytes)
+{
+    HitRateMonitor m(cfg, 256, 16);
+    SnapshotReader r(bytes);
+    m.load(r);
+    r.finish();
+}
+
+TEST(HitRateMonitorSnapshot, RecordHoldsOneRegisterPerEma)
+{
+    const SystemConfig cfg = monitorConfig(8);
+    HitRateMonitor m(cfg, 256, 16, 5);
+    const Samples s = findSamples(m, 256);
+    m.record(s.reference[0], true);
+    m.record(s.explorer[0], true);
+    m.record(s.explorer[0], false);
+    const std::string b = saved(m);
+    ASSERT_EQ(b.size(), kRecordBytes);
+    EXPECT_EQ(getU32(b, kEmaAt[0]), m.emaConventional());
+    EXPECT_EQ(getU32(b, kEmaAt[1]), m.emaReference());
+    EXPECT_EQ(getU32(b, kEmaAt[2]), m.emaExplorer());
+    EXPECT_EQ(getU32(b, kNmaxAt), 5u);
+    EXPECT_EQ(getU32(b, kReferencesAt), 3u);
+}
+
+TEST(HitRateMonitorSnapshot, RejectsEmaRegisterAboveFullScale)
+{
+    const SystemConfig cfg = monitorConfig(8);
+    const std::string b = saved(HitRateMonitor(cfg, 256, 16));
+    const std::uint32_t full = std::uint32_t{1} << cfg.emaBits;
+    for (const std::size_t at : kEmaAt) {
+        EXPECT_NO_THROW(load(cfg, withU32(b, at, full))) << at;
+        EXPECT_THROW(load(cfg, withU32(b, at, full + 1)), SnapshotError)
+            << at;
+    }
+}
+
+TEST(HitRateMonitorSnapshot, RejectsNmaxAboveWaysMinusTwo)
+{
+    const SystemConfig cfg = monitorConfig(8);
+    const std::string b = saved(HitRateMonitor(cfg, 256, 16));
+    EXPECT_NO_THROW(load(cfg, withU32(b, kNmaxAt, 14)));
+    EXPECT_THROW(load(cfg, withU32(b, kNmaxAt, 15)), SnapshotError);
+}
+
+TEST(HitRateMonitorSnapshot, RejectsReferenceCountNotBelowPeriod)
+{
+    const SystemConfig cfg = monitorConfig(8);
+    const std::string b = saved(HitRateMonitor(cfg, 256, 16));
+    EXPECT_NO_THROW(load(cfg, withU32(b, kReferencesAt, 7)));
+    EXPECT_THROW(load(cfg, withU32(b, kReferencesAt, 8)), SnapshotError);
+}
+
+/** A record taken mid-period restores a monitor that saves the same
+ *  bytes and continues along the uninterrupted nmax trajectory. */
+TEST(HitRateMonitorSnapshot, MidPeriodSaveLoadSaveContinuesIdentically)
+{
+    const SystemConfig cfg = monitorConfig(8);
+    HitRateMonitor live(cfg, 256, 16);
+    const Samples s = findSamples(live, 256);
+    std::mt19937 rng(23);
+    drive(live, s, rng, 1003);
+    const std::string first = saved(live);
+    ASSERT_EQ(getU32(first, kReferencesAt), 1003u % 8);
+    ASSERT_NE(getU32(first, kEmaAt[1]), 0u);
+    HitRateMonitor back(cfg, 256, 16);
+    SnapshotReader r(first);
+    back.load(r);
+    r.finish();
+    ASSERT_EQ(saved(back), first);
+
+    std::mt19937 rng_back = rng;
+    for (int i = 0; i < 4000; ++i) {
+        drive(live, s, rng, 1);
+        drive(back, s, rng_back, 1);
+        ASSERT_EQ(back.nmax(), live.nmax()) << "reference " << i;
+    }
+    EXPECT_GT(live.increments() + live.decrements(), 0u);
+    EXPECT_EQ(saved(back), saved(live));
 }
 
 } // namespace

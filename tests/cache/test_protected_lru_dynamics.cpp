@@ -115,8 +115,9 @@ TEST(ProtectedDynamics, ReferenceSetsStayPure)
                                    : BlockClass::Victim);
     }
     for (std::uint32_t s = 0; s < d.bank.numSets(); ++s) {
-        if (d.bank.monitor()->category(s) == SetCategory::Reference)
+        if (d.bank.monitor()->category(s) == SetCategory::Reference) {
             EXPECT_EQ(d.bank.set(s).helpingCount(), 0u) << s;
+        }
     }
 }
 

@@ -78,10 +78,11 @@ TEST_P(StressSweep, RandomTrafficKeepsInvariants)
                 continue;
             const int way = rig.proto->l1(id).lookup(addr);
             ASSERT_NE(way, kNoWay);
-            if (rig.proto->l1(id).meta(addr, way).dirty)
+            if (rig.proto->l1(id).meta(addr, way).dirty) {
                 EXPECT_TRUE(rig.proto->l1(id)
                                 .meta(addr, way)
                                 .hasOwnerToken);
+            }
         }
     });
 }

@@ -167,16 +167,5 @@ TEST(TraceCore, EmptyTraceFinishesImmediately)
     EXPECT_EQ(core->instructions(), 0u);
 }
 
-TEST(TraceCore, OnFinishCallbackFires)
-{
-    CoreRig rig;
-    auto core = rig.makeCore(loads(5, 1));
-    bool fired = false;
-    core->onFinish([&]() { fired = true; });
-    core->start();
-    rig.eq.run();
-    EXPECT_TRUE(fired);
-}
-
 } // namespace
 } // namespace espnuca

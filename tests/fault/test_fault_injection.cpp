@@ -148,15 +148,19 @@ TEST(LinkFault, IntervalListIsHardCapped)
 TEST(LinkFault, CompactionOnlyOverReserves)
 {
     Link l;
+    // Busy [10i, 10i + 2): every gap is 8 cycles, so each of the 8
+    // compactions merges the earliest pair and [0, 82) ends up busy.
     for (std::uint64_t i = 0; i < Link::kMaxIntervals + 8; ++i)
         l.transmit(i * 10, 2, 1);
-    if (l.compactions() > 0) {
-        // After compaction a fresh arrival is scheduled no earlier than
-        // the uncompacted schedule would have allowed — the busy list
-        // only gained time, so earliestStart is monotone-safe.
-        EXPECT_GE(l.earliestStart(0, 2), 0u);
-    }
+    ASSERT_EQ(l.compactions(), 8u);
     EXPECT_LE(l.intervals(), Link::kMaxIntervals);
+    ASSERT_EQ(l.waitCycles(), 0u);
+    // A 2-flit message arriving at 2 fitted the gap [2, 10) before
+    // compaction; that gap was merged away, so the message waits for
+    // the merged interval's end: it starts at 82 and crosses by 82 +
+    // latency 1 + 1.
+    EXPECT_EQ(l.transmit(2, 2, 1), 84u);
+    EXPECT_EQ(l.waitCycles(), 80u);
 }
 
 TEST(Injector, AppliesPlanToAssembledSystem)

@@ -98,25 +98,16 @@ TEST(Link, PruneDropsPastIntervals)
 namespace espnuca {
 namespace {
 
-TEST(Link, EarliestStartIsPureQuery)
-{
-    Link l;
-    l.transmit(10, 5, 2); // busy [10, 15)
-    const Cycle probe = l.earliestStart(12, 2);
-    EXPECT_EQ(probe, 15u);
-    // Querying must not reserve anything.
-    EXPECT_EQ(l.earliestStart(12, 2), probe);
-    EXPECT_EQ(l.intervals(), 1u);
-}
-
 TEST(Link, AdjacentIntervalsCoalesce)
 {
     Link l;
     l.transmit(0, 5, 2);  // [0, 5)
     l.transmit(5, 5, 2);  // [5, 10) -> coalesces with [0, 5)
     EXPECT_EQ(l.intervals(), 1u);
-    // The merged interval still blocks the whole range.
-    EXPECT_EQ(l.earliestStart(3, 1), 10u);
+    // The merged interval still blocks the whole range: a 1-flit
+    // message arriving at 3 starts at 10 and crosses by 10 + 2.
+    EXPECT_EQ(l.transmit(3, 1, 2), 12u);
+    EXPECT_EQ(l.waitCycles(), 7u);
 }
 
 TEST(Link, GapExactFitIsUsed)

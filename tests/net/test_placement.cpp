@@ -33,8 +33,9 @@ TEST(SpreadColumn, InRangeAndMonotone)
                 const std::uint32_t c =
                     PlacementMap::spreadColumn(i, mcs, cols);
                 ASSERT_LT(c, cols) << cols << "x? mcs=" << mcs;
-                if (i > 0)
+                if (i > 0) {
                     ASSERT_GE(c, prev);
+                }
                 prev = c;
             }
         }
@@ -299,8 +300,9 @@ checkTopologyInvariants(const SystemConfig &cfg)
         for (NodeId b = 0; b < t.numNodes(); ++b) {
             const std::uint32_t h = t.hops(a, b);
             EXPECT_LE(h, diameter);
-            if (a != b)
+            if (a != b) {
                 EXPECT_GE(h, 1u);
+            }
             // Symmetry.
             EXPECT_EQ(h, t.hops(b, a));
         }
